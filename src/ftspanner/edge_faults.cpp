@@ -7,10 +7,11 @@
 #include <stdexcept>
 
 #include "ftspanner/parallel.hpp"
-#include "ftspanner/validate.hpp"  // count_fault_sets (C(m, <=r) reuse)
 #include "graph/sp_engine.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "spanner/greedy.hpp"
 #include "util/rng.hpp"
+#include "validate/stretch_oracle.hpp"  // count_fault_sets (C(m, <=r) reuse)
 
 namespace ftspan {
 
@@ -140,10 +141,8 @@ EdgeFtResult ft_edge_greedy_spanner(const Graph& g, double k, std::size_t r,
     };
   };
 
-  out.edges = marks_to_edges(union_iterations(out.iterations, out.threads_used,
-                                              m, options.batch, bodies,
-                                              options.pin, &out.lane_pinned));
-  for (const char p : out.lane_pinned) out.lanes_pinned += p != 0;
+  out.edges = marks_to_edges(
+      union_iterations(out.iterations, out.threads_used, m, bodies));
   return out;
 }
 

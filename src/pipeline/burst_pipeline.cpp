@@ -1,5 +1,6 @@
 #include "pipeline/burst_pipeline.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <exception>
@@ -8,9 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/affinity.hpp"
 #include "util/spsc_ring.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ftspan {
 
@@ -22,18 +21,48 @@ struct Burst {
   std::size_t end = 0;
 };
 
+/// Bursts in flight per worker: deep enough to absorb skewed burst costs,
+/// small enough that the coordinator never runs far ahead of a slow lane.
+constexpr std::size_t kRingCapacity = 64;
+
 }  // namespace
+
+std::size_t hardware_threads() {
+  const unsigned hc = std::thread::hardware_concurrency();
+  return hc == 0 ? 1 : static_cast<std::size_t>(hc);
+}
+
+std::size_t resolve_threads(std::size_t requested, std::size_t tasks) {
+  std::size_t t = requested == 0 ? hardware_threads() : requested;
+  t = std::min(t, std::max<std::size_t>(tasks, 1));
+  return std::clamp<std::size_t>(t, 1, kMaxWorkers);
+}
+
+std::size_t burst_width(std::size_t count, std::size_t workers) {
+  const std::size_t w = std::max<std::size_t>(workers, 1);
+  return std::min(kDefaultBurst, (count + w - 1) / w);
+}
 
 /// Everything one worker owns. Rings are per-worker (SPSC: coordinator
 /// produces, the worker consumes). The mutex/cv pair only matters while the
 /// lane is idle: a worker with a non-empty ring never touches it, so the
 /// in-flight hand-off cost stays one acquire/release pair per burst.
 struct BurstPool::Lane {
-  explicit Lane(std::size_t ring_capacity) : ring(ring_capacity) {}
-  SpscRing<Burst> ring;
+  /// Builds the lane's task; a throwing factory poisons the lane for good.
+  void build(const BurstTaskFactory& factory, std::size_t w) {
+    try {
+      task = factory(w);
+    } catch (...) {
+      error = std::current_exception();
+      factory_failed = true;
+    }
+  }
+
+  SpscRing<Burst> ring{kRingCapacity};
   std::mutex m;
   std::condition_variable cv;
   bool stop = false;         ///< guarded by m
+  BurstTask task;            ///< touched only by the lane's own thread
   std::exception_ptr error;  ///< worker-written; read/cleared between runs
   bool factory_failed = false;  ///< permanent: the lane never got a task
 };
@@ -46,28 +75,23 @@ struct BurstPool::Completion {
   std::condition_variable cv;
 };
 
-BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory,
-                     std::size_t ring_capacity, bool pin) {
-  const std::size_t n = workers == 0 ? 1 : workers;
+BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory) {
+  const std::size_t n = std::clamp<std::size_t>(workers, 1, kMaxWorkers);
   lanes_.reserve(n);
   for (std::size_t w = 0; w < n; ++w)
-    lanes_.push_back(std::make_unique<Lane>(ring_capacity));
-
+    lanes_.push_back(std::make_unique<Lane>());
   done_ = std::make_unique<Completion>();
+  if (n == 1) {
+    lanes_[0]->build(factory, 0);
+    return;
+  }
+
   threads_.reserve(n);
-  pinned_.assign(n, 0);
-  const std::size_t cores = ThreadPool::hardware_threads();
   for (std::size_t w = 0; w < n; ++w) {
     Lane* lane = lanes_[w].get();
     Completion* done = done_.get();
     threads_.emplace_back([lane, done, factory, w] {
-      BurstTask task;
-      try {
-        task = factory(w);
-      } catch (...) {
-        lane->error = std::current_exception();
-        lane->factory_failed = true;
-      }
+      lane->build(factory, w);
       Burst b;
       for (;;) {
         if (lane->ring.try_pop(b)) {
@@ -76,7 +100,7 @@ BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory,
           // moving even though its results are abandoned.
           if (lane->error == nullptr) {
             try {
-              for (std::size_t i = b.begin; i < b.end; ++i) task(i);
+              for (std::size_t i = b.begin; i < b.end; ++i) lane->task(i);
             } catch (...) {
               lane->error = std::current_exception();
             }
@@ -94,7 +118,6 @@ BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory,
         lane->cv.wait(l);
       }
     });
-    if (pin) pinned_[w] = pin_thread(threads_[w], w % cores) ? 1 : 0;
   }
 }
 
@@ -120,11 +143,17 @@ void BurstPool::feed(Lane& lane, std::size_t begin, std::size_t end) {
   lane.cv.notify_one();
 }
 
-void BurstPool::run(std::size_t count, std::size_t burst) {
+void BurstPool::run(std::size_t count) {
   if (count == 0) return;
-  const std::size_t width = burst == 0 ? kDefaultBurst : burst;
-  const std::size_t total = (count + width - 1) / width;
+  if (threads_.empty()) {
+    Lane& lane = *lanes_[0];
+    if (lane.error != nullptr) std::rethrow_exception(lane.error);
+    for (std::size_t i = 0; i < count; ++i) lane.task(i);
+    return;
+  }
 
+  const std::size_t width = burst_width(count, lanes_.size());
+  const std::size_t total = (count + width - 1) / width;
   done_->bursts.store(0, std::memory_order_relaxed);
 
   // Round-robin distribution: burst b -> worker b % workers, in order. With
@@ -143,37 +172,15 @@ void BurstPool::run(std::size_t count, std::size_t burst) {
     });
   }
 
-  // First error by worker index: deterministic, like run_bursts. Task
-  // errors are cleared so the pool stays usable; a lane whose factory threw
-  // never got a task, so its error is permanent.
+  // First error by worker index, so the rethrown exception is deterministic.
+  // Task errors are cleared so the pool stays usable; a lane whose factory
+  // threw never got a task, so its error is permanent.
   std::exception_ptr first;
   for (auto& lane : lanes_) {
     if (lane->error != nullptr && first == nullptr) first = lane->error;
     if (!lane->factory_failed) lane->error = nullptr;
   }
   if (first != nullptr) std::rethrow_exception(first);
-}
-
-std::vector<char> run_bursts(std::size_t count, const BurstOptions& options,
-                             const BurstTaskFactory& factory) {
-  const std::size_t workers = options.workers == 0 ? 1 : options.workers;
-  if (count == 0) return std::vector<char>(workers, 0);
-  const std::size_t burst = options.burst == 0 ? kDefaultBurst : options.burst;
-
-  if (workers == 1) {
-    // Inline on the caller's thread: never pinned (the caller's affinity is
-    // not ours to change), so the one lane always reports 0.
-    const BurstTask task = factory(0);
-    for (std::size_t i = 0; i < count; ++i) task(i);
-    return std::vector<char>(1, 0);
-  }
-
-  // One-shot: a temporary pool scoped to this call. Spawning here is what
-  // run_bursts always did; callers with a steady cadence of small batches
-  // hold a BurstPool instead.
-  BurstPool pool(workers, factory, options.ring_capacity, options.pin);
-  pool.run(count, burst);
-  return pool.pinned_lanes();
 }
 
 }  // namespace ftspan

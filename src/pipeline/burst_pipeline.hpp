@@ -1,28 +1,25 @@
-// run_bursts — the dataplane-batched fan-out driver.
+// BurstPool — the one index fan-out.
 //
-// The repo's two hot fan-outs (conversion sampling iterations, StretchOracle
-// fault-set checks) are index loops 0..count whose bodies run on per-worker
-// pooled state. The previous dispatcher handed indices to a generic thread
-// pool one atomic fetch_add at a time: one shared-cache-line bounce per
-// task, with tasks that can be a few microseconds each. This driver applies
-// the dataplane shape instead (per-core workers, SPSC rings, burst
+// The repo's hot fan-outs (conversion sampling iterations, StretchOracle
+// fault-set checks, the serve daemon's cache misses) are index loops
+// 0..count whose bodies run on per-worker pooled state. BurstPool applies
+// the dataplane shape to them (per-core workers, SPSC rings, burst
 // processing — the ndn-dpdk idiom):
 //
-//   - the coordinator slices 0..count into fixed-size bursts and round-robins
-//     them into one SpscRing per worker (single producer: the coordinator;
+//   - the coordinator slices 0..count into bursts and round-robins them
+//     into one SpscRing per worker (single producer: the coordinator;
 //     single consumer: the worker — no shared ring, no CAS anywhere);
 //   - each worker drains its own ring and runs whole bursts against its
-//     pinned state (engines, scratch graphs), so the shared-line traffic is
+//     own state (engines, scratch graphs), so the shared-line traffic is
 //     one acquire/release pair per burst instead of per task;
 //   - distribution is deterministic (burst b → worker b % workers), which
 //     keeps "which worker ran which index" reproducible, though callers must
-//     not depend on it — output determinism comes from index-keyed results,
-//     as before.
+//     not depend on it — output determinism comes from index-keyed results.
 //
 // Exceptions: a worker that throws records the first exception and discards
 // the rest of its feed (it keeps draining so the coordinator never blocks on
 // a full ring); the coordinator rethrows the lowest-indexed worker's
-// exception after joining, matching the thread pool's propagation contract.
+// exception after the run completes.
 #pragma once
 
 #include <cstddef>
@@ -33,21 +30,32 @@
 
 namespace ftspan {
 
-/// Default indices per burst. Large enough to amortize the ring hand-off,
-/// small enough that a burst of even the slowest tasks (a greedy run per
-/// index) keeps all workers fed for typical iteration counts.
+/// Upper bound on indices per burst. Large enough to amortize the ring
+/// hand-off; a run too short to give every worker a full burst is cut into
+/// narrower ones instead (burst_width), so no lane sits idle while another
+/// holds the whole run.
 inline constexpr std::size_t kDefaultBurst = 16;
 
-struct BurstOptions {
-  std::size_t workers = 1;  ///< consumer threads; 1 = inline, no threads
-  std::size_t burst = kDefaultBurst;  ///< indices per burst; 0 = default
-  std::size_t ring_capacity = 64;     ///< bursts in flight per worker
-  /// Pin lane i to core i % hardware_threads() (util/affinity.hpp). Only a
-  /// hint: per-lane success is reported back, and the single-worker inline
-  /// path never pins (it runs on the caller's thread, whose affinity must
-  /// not be silently changed). Default off — see ThreadPool's rationale.
-  bool pin = false;
-};
+/// Sanity ceiling on worker count, not a tuning knob: far above any
+/// speedup-bearing thread count, low enough that a bogus request (e.g.
+/// size_t(-1)) cannot exhaust OS threads — each worker also owns per-lane
+/// state such as an m-byte mark buffer or a pair of Dijkstra engines.
+inline constexpr std::size_t kMaxWorkers = 256;
+
+/// The machine's hardware concurrency, never reported as 0.
+std::size_t hardware_threads();
+
+/// Worker count actually used for a request: 0 means "all hardware threads";
+/// the result is clamped to [1, min(tasks, kMaxWorkers)] so oversubscription
+/// never spawns idle workers. Callers without a task count (a server sizing
+/// its lanes up front) leave `tasks` at its default.
+std::size_t resolve_threads(std::size_t requested,
+                            std::size_t tasks = kMaxWorkers);
+
+/// Indices per burst for a run of `count` over `workers` lanes:
+/// min(kDefaultBurst, ceil(count / workers)). Never changes an output — it
+/// only decides which lane runs which index.
+std::size_t burst_width(std::size_t count, std::size_t workers);
 
 /// Runs one index of the fan-out. Invoked on the owning worker's thread.
 using BurstTask = std::function<void(std::size_t)>;
@@ -56,27 +64,15 @@ using BurstTask = std::function<void(std::size_t)>;
 /// per-worker state (engines, scratch) is constructed where it runs.
 using BurstTaskFactory = std::function<BurstTask(std::size_t worker)>;
 
-/// Runs task(i) for every i in [0, count) across options.workers workers.
-/// With workers == 1 this is a plain inline loop (no threads, no rings).
-/// With more it stands up a temporary BurstPool (below) for the call.
-/// Returns the per-lane affinity status (one entry per worker, 1 = pinned);
-/// all zero unless options.pin succeeded — callers that don't report
-/// affinity just ignore it.
-std::vector<char> run_bursts(std::size_t count, const BurstOptions& options,
-                             const BurstTaskFactory& factory);
-
-/// BurstPool — the persistent form of run_bursts (dataplane phase 2).
+/// A fixed set of worker lanes kept alive across run() calls: workers block
+/// on a per-lane condition variable while idle (no spinning between runs)
+/// and drain their SPSC ring while a run is in flight. With one worker the
+/// pool spawns no thread at all: the factory runs in the constructor and
+/// run() is a plain loop on the caller's thread.
 ///
-/// run_bursts spawns and joins its workers on every call, which is fine for
-/// one-shot fan-outs (a conversion, an oracle check) but wrong for a server
-/// answering query batches at a steady cadence: thread creation would
-/// dominate small batches. A BurstPool keeps the worker lanes alive across
-/// run() calls — workers block on a per-lane condition variable while idle
-/// (no spinning between batches) and drain their SPSC ring exactly like the
-/// one-shot path while a run is in flight.
-///
-/// Contracts carried over from run_bursts:
-///   - the factory runs once per worker, on that worker's own thread;
+/// Contracts:
+///   - the factory runs once per worker, on that worker's own thread (the
+///     caller's, for a one-worker pool);
 ///   - distribution is deterministic (burst b -> worker b % workers);
 ///   - a worker that throws abandons the rest of its feed but keeps
 ///     draining, and run() rethrows the lowest-indexed worker's exception
@@ -94,14 +90,12 @@ std::vector<char> run_bursts(std::size_t count, const BurstOptions& options,
 /// retired engine drops it from whichever thread held the final reference).
 class BurstPool {
  public:
-  /// Spawns `workers` (>= 1) lanes; the factory is invoked on each worker
-  /// thread before its first burst. A factory that throws poisons the lane:
-  /// its bursts are drained unrun and the next run() rethrows. With
-  /// pin = true, lane i is pinned to core i % hardware_threads() where the
-  /// platform allows it (the kernel migrates an already-running thread on
-  /// the spot, so pinning from the constructor is race-free).
-  BurstPool(std::size_t workers, BurstTaskFactory factory,
-            std::size_t ring_capacity = 64, bool pin = false);
+  /// Stands up `workers` lanes (0 is taken as 1; capped at kMaxWorkers).
+  /// The factory is invoked on each worker thread before its first burst —
+  /// or here, on the caller's thread, for a single-worker pool. A factory
+  /// that throws poisons its lane: the lane's bursts are drained unrun and
+  /// every run() rethrows.
+  BurstPool(std::size_t workers, BurstTaskFactory factory);
   ~BurstPool();  ///< joins all workers
 
   BurstPool(const BurstPool&) = delete;
@@ -109,18 +103,9 @@ class BurstPool {
 
   std::size_t workers() const { return lanes_.size(); }
 
-  /// Per-lane affinity status: pinned_lanes()[i] is 1 iff lane i was
-  /// successfully pinned (all zero when pinning was off or unsupported).
-  const std::vector<char>& pinned_lanes() const { return pinned_; }
-  std::size_t pinned_count() const {
-    std::size_t k = 0;
-    for (const char p : pinned_) k += p != 0;
-    return k;
-  }
-
-  /// Runs task(i) for every i in [0, count), `burst` indices per hand-off
-  /// (0 = kDefaultBurst). Blocks until every burst has been processed.
-  void run(std::size_t count, std::size_t burst = 0);
+  /// Runs task(i) for every i in [0, count), burst_width(count, workers())
+  /// indices per hand-off. Blocks until every burst has been processed.
+  void run(std::size_t count);
 
  private:
   struct Lane;
@@ -129,8 +114,7 @@ class BurstPool {
 
   std::vector<std::unique_ptr<Lane>> lanes_;
   std::unique_ptr<Completion> done_;
-  std::vector<std::thread> threads_;
-  std::vector<char> pinned_;
+  std::vector<std::thread> threads_;  ///< empty for a single-worker pool
 };
 
 }  // namespace ftspan

@@ -1,6 +1,9 @@
 #include "serve/net.hpp"
 
 #include <csignal>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
 #include <atomic>
@@ -113,6 +116,17 @@ int accept_retry(int fd) {
     if (cfd < 0 && errno == EINTR) continue;
     return cfd;
   }
+}
+
+void set_nonblocking(int fd) {
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+}
+
+void setup_connection(int fd) {
+  set_nonblocking(fd);
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
 int poll_retry(pollfd* fds, nfds_t n, int timeout_ms) {

@@ -49,6 +49,15 @@ ssize_t send_retry(int fd, const void* buf, std::size_t len);
 /// accept(2), retried on EINTR.
 int accept_retry(int fd);
 
+/// Sets O_NONBLOCK on fd (best effort: a failing fcntl leaves fd as is).
+void set_nonblocking(int fd);
+
+/// Accept-side setup of a daemon connection: non-blocking, plus
+/// TCP_NODELAY. Responses to pipelined requests are small writes; with
+/// Nagle on, each one waits for the ACK of the previous, so a client that
+/// delays its ACKs would stall every response by its delayed-ACK timer.
+void setup_connection(int fd);
+
 /// poll(2), retried on EINTR (returns 0 as if timed out, so callers treat
 /// an interrupted wait exactly like an empty round).
 int poll_retry(pollfd* fds, nfds_t n, int timeout_ms);

@@ -69,7 +69,7 @@ std::uint64_t ServeQuery::cache_key() const {
   return h;
 }
 
-/// One worker lane's pinned state: an engine per graph, a fault mask, and
+/// One worker lane's own state: an engine per graph, a fault mask, and
 /// the two dead-edge masks with touched-entry logs so resets are O(|F|),
 /// not O(m).
 struct QueryEngine::Scratch {
@@ -111,7 +111,7 @@ QueryEngine::QueryEngine(const Graph& g, const std::vector<EdgeId>& spanner_edge
       ch_(h_),
       k_(k),
       options_(options) {
-  if (options_.workers == 0) options_.workers = 1;
+  options_.workers = resolve_threads(options_.workers);
   scratch_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w)
     scratch_.push_back(std::make_unique<Scratch>(cg_, ch_, options_.engine,
@@ -223,38 +223,26 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
   }
   if (miss_idx_.empty()) return;
 
-  // Phase 2: compute misses on worker-pinned engines. Results are keyed by
-  // index, so the answers are identical for every workers/batch setting.
+  // Phase 2: compute misses on per-lane engines. Results are keyed by
+  // index, so the answers are identical for every workers setting.
   cur_queries_ = queries;
   cur_answers_ = &answers;
-  if (options_.workers == 1) {
-    for (const std::size_t qi : miss_idx_)
-      answer_miss(queries[qi], answers[qi], *scratch_[0]);
-  } else {
-    if (pool_ == nullptr)
-      pool_ = std::make_unique<BurstPool>(
-          options_.workers,
-          [this](std::size_t w) {
-            Scratch* s = scratch_[w].get();
-            return [this, s](std::size_t i) {
-              answer_miss(cur_queries_[miss_idx_[i]],
-                          (*cur_answers_)[miss_idx_[i]], *s);
-            };
-          },
-          64, options_.pin);
-    pool_->run(miss_idx_.size(), options_.batch);
-  }
+  if (pool_ == nullptr)
+    pool_ = std::make_unique<BurstPool>(
+        options_.workers, [this](std::size_t w) {
+          Scratch* s = scratch_[w].get();
+          return [this, s](std::size_t i) {
+            answer_miss(cur_queries_[miss_idx_[i]],
+                        (*cur_answers_)[miss_idx_[i]], *s);
+          };
+        });
+  pool_->run(miss_idx_.size());
 
   // Phase 3 (calling thread): newly computed answers land in the cache.
   if (options_.cache_capacity != 0)
     for (std::size_t j = 0; j < miss_idx_.size(); ++j)
       cache_insert(queries[miss_idx_[j]], miss_key_[j],
                    answers[miss_idx_[j]]);
-}
-
-std::vector<char> QueryEngine::lane_pinned() const {
-  if (pool_ == nullptr) return {};
-  return pool_->pinned_lanes();
 }
 
 ServeAnswer QueryEngine::answer(const ServeQuery& query) {

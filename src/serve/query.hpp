@@ -1,5 +1,5 @@
 // QueryEngine — the daemon's compute core: distance / stretch / fault-
-// what-if queries over a precomputed FT spanner, answered by worker-pinned
+// what-if queries over a precomputed FT spanner, answered by per-lane
 // pooled DijkstraEngines behind the burst pipeline, with an LRU answer
 // cache in front.
 //
@@ -12,7 +12,7 @@
 //
 // Threading contract: all public methods are called from ONE thread (the
 // daemon's event loop). Worker threads only ever run inside answer_batch's
-// pipeline fan-out, on their own pinned scratch; the cache is touched by
+// pipeline fan-out, on their own lane's scratch; the cache is touched by
 // the calling thread exclusively.
 #pragma once
 
@@ -66,15 +66,14 @@ struct ServeAnswer {
 class QueryEngine {
  public:
   struct Options {
-    std::size_t workers = 1;        ///< pipeline lanes; 1 = inline, no threads
-    std::size_t batch = 0;          ///< queries per burst; 0 = default
+    /// Pipeline lanes; 1 = inline, no threads; 0 = all hardware threads.
+    /// Resolved like every fan-out's width (resolve_threads), so a bogus
+    /// request is capped at kMaxWorkers.
+    std::size_t workers = 1;
     std::size_t cache_capacity = 1024;  ///< LRU entries; 0 disables the cache
     SpEnginePolicy engine = SpEnginePolicy::kAuto;
     /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
     Weight bucket_max = kMaxBucketWeight;
-    /// Pin worker lanes to cores (util/affinity.hpp); per-lane success is
-    /// readable via lane_pinned(). Answers never depend on it.
-    bool pin = false;
   };
 
   /// g must outlive the engine; the spanner H is materialized internally
@@ -92,9 +91,9 @@ class QueryEngine {
 
   /// Answers queries[i] into answers[i] (resized to match). Cache lookups
   /// happen up front on the calling thread; misses fan out through the
-  /// burst pipeline onto worker-pinned engines, then land in the cache.
+  /// burst pipeline onto per-lane engines, then land in the cache.
   /// Queries must be canonicalized. Answers are deterministic and identical
-  /// for every workers/batch setting.
+  /// for every workers setting.
   void answer_batch(std::span<const ServeQuery> queries,
                     std::vector<ServeAnswer>& answers);
 
@@ -108,10 +107,8 @@ class QueryEngine {
   const CacheStats& cache_stats() const { return cache_stats_; }
   std::uint64_t queries_answered() const { return queries_; }
 
-  /// Per-lane affinity status of the miss-path pool (1 = pinned). Empty
-  /// until the first multi-worker batch spawns the pool; always all-zero
-  /// when Options::pin was false or the platform lacks affinity support.
-  std::vector<char> lane_pinned() const;
+  /// Miss-path lanes actually used (Options::workers, resolved).
+  std::size_t workers() const { return options_.workers; }
 
   const Graph& base() const { return *g_; }
   const Graph& spanner() const { return h_; }
@@ -135,7 +132,7 @@ class QueryEngine {
   Options options_;
 
   std::vector<std::unique_ptr<Scratch>> scratch_;  ///< one per worker lane
-  std::unique_ptr<BurstPool> pool_;  ///< lazily built when workers > 1
+  std::unique_ptr<BurstPool> pool_;  ///< built by the first batch with a miss
 
   // Per-batch work list, held in members so the pool's (once-constructed)
   // worker tasks can reach the current batch. Valid only inside

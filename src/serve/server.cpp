@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -33,11 +32,6 @@ std::int64_t to_ms(Clock::time_point t) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              t.time_since_epoch())
       .count();
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
 /// Strict decimal vertex id in [0, n).
@@ -153,8 +147,8 @@ void ServeDaemon::listen() {
   net::ignore_sigpipe();
   if (::pipe(wake_fd_) != 0)
     throw std::runtime_error("serve: pipe() failed");
-  set_nonblocking(wake_fd_[0]);
-  set_nonblocking(wake_fd_[1]);
+  net::set_nonblocking(wake_fd_[0]);
+  net::set_nonblocking(wake_fd_[1]);
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("serve: socket() failed");
@@ -178,7 +172,7 @@ void ServeDaemon::listen() {
   socklen_t len = sizeof(bound);
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len);
   port_ = ntohs(bound.sin_port);
-  set_nonblocking(listen_fd_);
+  net::set_nonblocking(listen_fd_);
 }
 
 void ServeDaemon::stop() {
@@ -223,7 +217,7 @@ void ServeDaemon::accept_new() {
       ++stats_.shed;
       continue;
     }
-    set_nonblocking(fd);
+    net::setup_connection(fd);
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     conn->last_active = Clock::now();

@@ -4,7 +4,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "ftspanner/validate.hpp"  // count_fault_sets
+#include "validate/stretch_oracle.hpp"
 
 namespace ftspan {
 

@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "ftspanner/parallel.hpp"
 #include "pipeline/burst_pipeline.hpp"
 
 namespace ftspan {
@@ -172,35 +171,22 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   out.fault_sets_checked = count;
   if (count == 0) return out;
 
+  // Fault-set indices travel to per-worker scratch in bursts — one ring
+  // hand-off per burst instead of one shared-counter bounce per fault set.
+  // Witnesses land in index-keyed slots, so scheduling stays invisible.
   std::vector<Witness> witnesses(count);
-  const std::size_t workers = resolve_threads(options.threads, count);
-  if (workers == 1) {
-    out.lane_pinned.assign(1, 0);
-    Scratch scratch = make_scratch(options.engine, options.bucket_max);
-    for (std::size_t i = 0; i < count; ++i) witnesses[i] = eval(i, scratch);
-  } else {
-    // Burst pipeline: fault-set indices travel to worker-pinned scratch in
-    // fixed-size bursts (pipeline/burst_pipeline.hpp) — one ring hand-off
-    // per burst instead of one shared-counter bounce per fault set.
-    // Witnesses land in index-keyed slots, so scheduling stays invisible.
-    BurstOptions bopt;
-    bopt.workers = workers;
-    bopt.burst = options.batch;
-    bopt.pin = options.pin;
-    const SpEnginePolicy engine = options.engine;
-    const Weight bucket_max = options.bucket_max;
-    out.lane_pinned = run_bursts(
-        count, bopt,
-        [this, &witnesses, &eval, engine,
-         bucket_max](std::size_t) -> BurstTask {
-          auto scratch =
-              std::make_shared<Scratch>(make_scratch(engine, bucket_max));
-          return [&witnesses, &eval, scratch](std::size_t i) {
-            witnesses[i] = eval(i, *scratch);
-          };
-        });
-  }
-  for (const char p : out.lane_pinned) out.lanes_pinned += p != 0;
+  const SpEnginePolicy engine = options.engine;
+  const Weight bucket_max = options.bucket_max;
+  BurstPool pool(resolve_threads(options.threads, count),
+                 [this, &witnesses, &eval, engine,
+                  bucket_max](std::size_t) -> BurstTask {
+                   auto scratch = std::make_shared<Scratch>(
+                       make_scratch(engine, bucket_max));
+                   return [&witnesses, &eval, scratch](std::size_t i) {
+                     witnesses[i] = eval(i, *scratch);
+                   };
+                 });
+  pool.run(count);
 
   // Deterministic fold in fault-set index order — identical to what a
   // sequential consider() chain over the same stream produces, regardless

@@ -1,5 +1,5 @@
 // The dataplane pipeline: SpscRing (bounded lock-free SPSC queue) and
-// run_bursts (the burst-batched fan-out driver).
+// BurstPool (the burst-batched index fan-out).
 //
 // This translation unit overrides the global allocation functions with
 // counting wrappers so the steady-state ring tests can assert an exact
@@ -20,7 +20,6 @@
 
 #include "ftspanner/parallel.hpp"
 #include "serve/query.hpp"
-#include "util/affinity.hpp"
 #include "util/spsc_ring.hpp"
 
 namespace {
@@ -204,88 +203,100 @@ TEST(SpscRing, CarriesServeQueryPayloadsAcrossThreads) {
   EXPECT_FALSE(failed.load());
 }
 
-// --- run_bursts ----------------------------------------------------------
+// --- BurstPool -----------------------------------------------------------
 
-// Every index in [0, count) must run exactly once, whatever the worker and
-// burst geometry — including bursts larger than the whole count and the
-// 0 = default burst size.
-TEST(RunBursts, CoversEveryIndexExactlyOnce) {
-  const std::size_t counts[] = {0, 1, 7, 64, 257};
-  const std::size_t workerses[] = {1, 2, 4};
-  const std::size_t bursts[] = {0, 1, 3, 1024};
-  for (const std::size_t count : counts)
-    for (const std::size_t workers : workerses)
-      for (const std::size_t burst : bursts) {
-        std::vector<std::atomic<int>> hits(count);
-        for (auto& h : hits) h.store(0);
-        BurstOptions opt;
-        opt.workers = workers;
-        opt.burst = burst;
-        run_bursts(count, opt, [&hits](std::size_t) -> BurstTask {
-          return [&hits](std::size_t i) {
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-          };
-        });
-        for (std::size_t i = 0; i < count; ++i)
-          ASSERT_EQ(hits[i].load(), 1)
-              << "count=" << count << " workers=" << workers
-              << " burst=" << burst << " i=" << i;
-      }
+// The burst width is min(kDefaultBurst, ceil(count / workers)): full bursts
+// once every lane can get one, narrower ones before that.
+TEST(BurstPool, BurstWidthSplitsShortRunsAcrossLanes) {
+  EXPECT_EQ(burst_width(0, 4), 0u);
+  EXPECT_EQ(burst_width(1, 4), 1u);
+  EXPECT_EQ(burst_width(12, 4), 3u);
+  EXPECT_EQ(burst_width(30, 2), 15u);
+  EXPECT_EQ(burst_width(100, 4), kDefaultBurst);
+  EXPECT_EQ(burst_width(384, 4), kDefaultBurst);
+  EXPECT_EQ(burst_width(17, 1), kDefaultBurst);
 }
 
-TEST(RunBursts, WorkerPinningIsDeterministic) {
-  // Burst b goes to worker b % workers: record who ran each index and check
-  // the round-robin layout directly.
-  constexpr std::size_t kCount = 96, kWorkers = 3, kBurst = 8;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  for (auto& r : ran_by) r.store(SIZE_MAX);
-  BurstOptions opt;
-  opt.workers = kWorkers;
-  opt.burst = kBurst;
-  run_bursts(kCount, opt, [&ran_by](std::size_t w) -> BurstTask {
+// Every index in [0, count) must run exactly once, whatever the worker
+// count — including runs shorter than one burst per lane.
+TEST(BurstPool, CoversEveryIndexExactlyOnce) {
+  const std::size_t counts[] = {0, 1, 7, 64, 257};
+  const std::size_t workerses[] = {1, 2, 4};
+  for (const std::size_t workers : workerses) {
+    std::vector<std::atomic<int>> hits(257);
+    BurstPool pool(workers, [&hits](std::size_t) -> BurstTask {
+      return [&hits](std::size_t i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      };
+    });
+    for (const std::size_t count : counts) {
+      for (auto& h : hits) h.store(0);
+      pool.run(count);
+      for (std::size_t i = 0; i < hits.size(); ++i)
+        ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
+            << "count=" << count << " workers=" << workers << " i=" << i;
+    }
+  }
+}
+
+// Burst b goes to lane b % workers, with the computed width, stable across
+// runs of the same pool. Record who ran each index and check the
+// round-robin layout directly.
+TEST(BurstPool, DistributionIsDeterministicAtTheComputedWidth) {
+  constexpr std::size_t kWorkers = 3;
+  std::vector<std::atomic<std::size_t>> ran_by(96);
+  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
     return [&ran_by, w](std::size_t i) {
       ran_by[i].store(w, std::memory_order_relaxed);
     };
   });
-  for (std::size_t i = 0; i < kCount; ++i)
-    EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers) << "i=" << i;
+  // 96 indices: full 16-wide bursts; 12: 4-wide; 5: 2-wide, the last short.
+  for (const std::size_t count : {96u, 12u, 5u, 96u}) {
+    for (auto& r : ran_by) r.store(SIZE_MAX);
+    pool.run(count);
+    const std::size_t width = burst_width(count, kWorkers);
+    for (std::size_t i = 0; i < count; ++i)
+      EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
+          << "count=" << count << " i=" << i;
+  }
 }
 
-TEST(RunBursts, TaskExceptionPropagatesWithoutDeadlock) {
-  // A mid-stream throw must reach the caller even though the coordinator
-  // keeps pushing bursts into the thrower's ring (the worker drains and
-  // discards them).
-  BurstOptions opt;
-  opt.workers = 2;
-  opt.burst = 1;
-  opt.ring_capacity = 2;  // small: a stalled consumer would deadlock the feed
-  EXPECT_THROW(
-      run_bursts(10000, opt,
-                 [](std::size_t) -> BurstTask {
-                   return [](std::size_t i) {
-                     if (i == 37) throw std::runtime_error("boom");
-                   };
-                 }),
-      std::runtime_error);
+// A run shorter than workers * kDefaultBurst still reaches every lane: 12
+// indices over 4 lanes are 4 bursts of 3, one per lane — not one 16-wide
+// burst on lane 0 (the starvation a fixed width caused on a 12-set
+// validation run).
+TEST(BurstPool, ShortRunReachesEveryLane) {
+  constexpr std::size_t kWorkers = 4;
+  std::vector<std::atomic<int>> lane_hits(kWorkers);
+  BurstPool pool(kWorkers, [&lane_hits](std::size_t w) -> BurstTask {
+    return [&lane_hits, w](std::size_t) {
+      lane_hits[w].fetch_add(1, std::memory_order_relaxed);
+    };
+  });
+  pool.run(12);
+  for (std::size_t w = 0; w < kWorkers; ++w)
+    EXPECT_EQ(lane_hits[w].load(), 3) << "lane " << w;
 }
 
-TEST(RunBursts, FactoryExceptionPropagates) {
-  BurstOptions opt;
-  opt.workers = 2;
-  EXPECT_THROW(run_bursts(100, opt,
-                          [](std::size_t w) -> BurstTask {
-                            if (w == 1)
-                              throw std::runtime_error("factory boom");
-                            return [](std::size_t) {};
-                          }),
-               std::runtime_error);
+// A mid-stream throw must reach the caller even though the coordinator
+// keeps pushing bursts into the thrower's ring (the worker drains and
+// discards them). 10000 indices over 2 lanes are 625 bursts, ~313 per lane
+// — far more than the 64-slot ring holds, so a stalled consumer would
+// deadlock the feed.
+TEST(BurstPool, TaskExceptionPropagatesWithoutDeadlock) {
+  BurstPool pool(2, [](std::size_t) -> BurstTask {
+    return [](std::size_t i) {
+      if (i == 37) throw std::runtime_error("boom");
+    };
+  });
+  EXPECT_THROW(pool.run(10000), std::runtime_error);
 }
 
 // The consumer contract the conversion engine relies on: union_iterations
-// over the burst pipeline produces the same marks as the sequential loop,
-// for every (workers, burst) geometry.
-TEST(RunBursts, UnionIterationsIsGeometryInvariant) {
-  constexpr std::size_t kIters = 200, kEdges = 512;
+// over the pool produces the same marks as the sequential loop, for every
+// worker count (and so every computed burst width).
+TEST(BurstPool, UnionIterationsIsGeometryInvariant) {
+  constexpr std::size_t kEdges = 512;
   const IterationBodyFactory factory = [](std::size_t) -> IterationBody {
     return [](std::size_t it, std::vector<char>& marks) {
       // A deterministic, iteration-dependent scatter.
@@ -293,37 +304,36 @@ TEST(RunBursts, UnionIterationsIsGeometryInvariant) {
         marks[(it * 31 + j * 97) % kEdges] = 1;
     };
   };
-  const std::vector<char> want =
-      union_iterations(kIters, 1, kEdges, 0, factory);
-  for (const std::size_t workers : {2, 3, 8})
-    for (const std::size_t burst : {0, 1, 5, 64})
-      EXPECT_EQ(union_iterations(kIters, workers, kEdges, burst, factory),
-                want)
-          << "workers=" << workers << " burst=" << burst;
+  for (const std::size_t iters : {5u, 40u, 200u}) {
+    const std::vector<char> want = union_iterations(iters, 1, kEdges, factory);
+    for (const std::size_t workers : {2u, 3u, 8u})
+      EXPECT_EQ(union_iterations(iters, workers, kEdges, factory), want)
+          << "iters=" << iters << " workers=" << workers;
+  }
 }
 
-// The burst inner loop itself must not allocate: after the factory has built
-// the per-worker state, processing indices is ring pops + task calls only.
-TEST(RunBursts, SingleWorkerInnerLoopIsAllocationFree) {
-  BurstOptions opt;
-  opt.workers = 1;
-  std::size_t sum = 0, before = 0, after = 0;
-  run_bursts(100000, opt, [&](std::size_t) -> BurstTask {
-    before = g_allocations.load(std::memory_order_relaxed);
-    return [&sum](std::size_t i) { sum += i; };
+// A single-worker pool runs inline: after the constructor has built the
+// task, run() is task calls only — no threads, no rings, no allocation.
+TEST(BurstPool, SingleWorkerRunIsInlineAndAllocationFree) {
+  std::size_t sum = 0;
+  std::thread::id ran_on;
+  BurstPool pool(1, [&](std::size_t) -> BurstTask {
+    return [&sum, &ran_on](std::size_t i) {
+      sum += i;
+      ran_on = std::this_thread::get_id();
+    };
   });
-  after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_GT(sum, 0u);
-  // The one allowance: materializing the returned BurstTask (a
-  // std::function) may allocate once outside the loop.
-  EXPECT_LE(after - before, 1u);
+  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
+  pool.run(100000);
+  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(sum, std::size_t{100000} * 99999 / 2);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_EQ(after - before, 0u);
 }
 
-// --- BurstPool -----------------------------------------------------------
-
-// The persistent pool must behave exactly like run_bursts call after call:
-// the factory runs once per worker (not once per run), and every run covers
-// its indices exactly once.
+// The persistent pool reuses its lanes call after call: the factory runs
+// once per worker (not once per run), and every run covers its indices
+// exactly once.
 TEST(BurstPool, ReusesLanesAcrossRuns) {
   constexpr std::size_t kWorkers = 3;
   std::atomic<std::size_t> factory_calls{0};
@@ -340,7 +350,7 @@ TEST(BurstPool, ReusesLanesAcrossRuns) {
   int rounds = 0;
   for (const std::size_t count : counts) {
     for (auto& h : hits) h.store(0);
-    pool.run(count, /*burst=*/3);
+    pool.run(count);
     ++rounds;
     for (std::size_t i = 0; i < hits.size(); ++i)
       ASSERT_EQ(hits[i].load(), i < count ? 1 : 0)
@@ -350,34 +360,42 @@ TEST(BurstPool, ReusesLanesAcrossRuns) {
 }
 
 // A task exception poisons one run, not the pool: run() rethrows, then the
-// next run must succeed (the error slot is cleared).
+// next run must succeed (the error slot is cleared) — inline or threaded.
 TEST(BurstPool, RecoversAfterATaskException) {
-  std::atomic<bool> armed{true};
-  std::atomic<std::size_t> done{0};
-  BurstPool pool(2, [&](std::size_t) -> BurstTask {
-    return [&](std::size_t i) {
-      if (armed.load(std::memory_order_relaxed) && i == 13)
-        throw std::runtime_error("boom");
-      done.fetch_add(1, std::memory_order_relaxed);
-    };
-  });
-  EXPECT_THROW(pool.run(100, 1), std::runtime_error);
-  armed.store(false);
-  done.store(0);
-  pool.run(100, 1);
-  EXPECT_EQ(done.load(), 100u);
+  for (const std::size_t workers : {1u, 2u}) {
+    std::atomic<bool> armed{true};
+    std::atomic<std::size_t> done{0};
+    BurstPool pool(workers, [&](std::size_t) -> BurstTask {
+      return [&](std::size_t i) {
+        if (armed.load(std::memory_order_relaxed) && i == 13)
+          throw std::runtime_error("boom");
+        done.fetch_add(1, std::memory_order_relaxed);
+      };
+    });
+    EXPECT_THROW(pool.run(100), std::runtime_error);
+    armed.store(false);
+    done.store(0);
+    pool.run(100);
+    EXPECT_EQ(done.load(), 100u) << "workers=" << workers;
+  }
 }
 
 // A factory that throws poisons its lane permanently: every run rethrows
 // (the lane never got a task), but runs still terminate — the lane drains
-// its feed without executing it.
+// its feed without executing it. The inline pool keeps the same contract.
 TEST(BurstPool, FactoryFailurePoisonsEveryRun) {
   BurstPool pool(2, [](std::size_t w) -> BurstTask {
     if (w == 1) throw std::runtime_error("factory boom");
     return [](std::size_t) {};
   });
-  EXPECT_THROW(pool.run(50, 1), std::runtime_error);
-  EXPECT_THROW(pool.run(50, 1), std::runtime_error);
+  EXPECT_THROW(pool.run(50), std::runtime_error);
+  EXPECT_THROW(pool.run(50), std::runtime_error);
+
+  BurstPool inline_pool(1, [](std::size_t) -> BurstTask {
+    throw std::runtime_error("factory boom");
+  });
+  EXPECT_THROW(inline_pool.run(50), std::runtime_error);
+  EXPECT_THROW(inline_pool.run(50), std::runtime_error);
 }
 
 // --- BurstPool teardown --------------------------------------------------
@@ -402,7 +420,7 @@ TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
           done.fetch_add(1, std::memory_order_relaxed);
         };
       });
-      pool.run(64, 1);
+      pool.run(64);
     }  // ~BurstPool races the workers' post-completion wind-down
     EXPECT_EQ(done.load(), 64u);
   }
@@ -422,7 +440,7 @@ TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
         };
       });
       try {
-        pool.run(200, 4);
+        pool.run(200);
       } catch (const std::runtime_error&) {
         threw = true;
       }
@@ -454,117 +472,10 @@ TEST(BurstPool, DestructionOnADifferentThreadIsClean) {
       done.fetch_add(1, std::memory_order_relaxed);
     };
   });
-  pool->run(100, 2);
+  pool->run(100);
   EXPECT_EQ(done.load(), 100u);
   std::thread reaper([p = std::move(pool)]() mutable { p.reset(); });
   reaper.join();
-}
-
-// Same deterministic distribution as run_bursts: burst b -> worker
-// b % workers, stable across runs of the same pool.
-TEST(BurstPool, WorkerPinningMatchesRunBursts) {
-  constexpr std::size_t kCount = 96, kWorkers = 3, kBurst = 8;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-    return [&ran_by, w](std::size_t i) {
-      ran_by[i].store(w, std::memory_order_relaxed);
-    };
-  });
-  for (int round = 0; round < 3; ++round) {
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    pool.run(kCount, kBurst);
-    for (std::size_t i = 0; i < kCount; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers)
-          << "round=" << round << " i=" << i;
-  }
-}
-
-// --- core affinity (ISSUE 10) -------------------------------------------
-
-// run_bursts reports one affinity slot per worker, and the slots are honest:
-// all zero with pin off, all zero on the inline single-worker path (the
-// caller's affinity is not ours to change), and — wherever the platform
-// supports affinity at all — all one when pinning was requested on a real
-// pool.
-TEST(RunBursts, LanePinReportIsHonest) {
-  const BurstTaskFactory noop = [](std::size_t) -> BurstTask {
-    return [](std::size_t) {};
-  };
-
-  // count == 0: no lane ever ran, one zero slot per worker either way.
-  for (const bool pin : {false, true}) {
-    BurstOptions opt;
-    opt.workers = 3;
-    opt.pin = pin;
-    EXPECT_EQ(run_bursts(0, opt, noop), std::vector<char>(3, 0));
-  }
-
-  // workers == 1 runs inline on the caller's thread: never pinned, even
-  // when asked.
-  {
-    BurstOptions opt;
-    opt.workers = 1;
-    opt.pin = true;
-    EXPECT_EQ(run_bursts(16, opt, noop), std::vector<char>(1, 0));
-  }
-
-  // A real pool with pin off stays unpinned.
-  {
-    BurstOptions opt;
-    opt.workers = 2;
-    EXPECT_EQ(run_bursts(16, opt, noop), std::vector<char>(2, 0));
-  }
-
-  // Pin on: every lane reports success where the build supports affinity
-  // (cores are taken modulo hardware_threads(), so oversubscription cannot
-  // fail the call), and reports failure-as-zero where it does not.
-  {
-    BurstOptions opt;
-    opt.workers = 4;
-    opt.pin = true;
-    const std::vector<char> lanes = run_bursts(16, opt, noop);
-    ASSERT_EQ(lanes.size(), 4u);
-    const char want = affinity_supported() ? 1 : 0;
-    for (std::size_t i = 0; i < lanes.size(); ++i)
-      EXPECT_EQ(lanes[i], want) << "lane " << i;
-  }
-}
-
-// The persistent pool exposes the same per-lane report, stable across runs,
-// and pinning must not perturb the deterministic burst distribution.
-TEST(BurstPool, PinnedLanesReportAndKeepDeterministicDistribution) {
-  constexpr std::size_t kCount = 64, kWorkers = 3, kBurst = 4;
-  std::vector<std::atomic<std::size_t>> ran_by(kCount);
-  BurstPool pool(
-      kWorkers,
-      [&ran_by](std::size_t w) -> BurstTask {
-        return [&ran_by, w](std::size_t i) {
-          ran_by[i].store(w, std::memory_order_relaxed);
-        };
-      },
-      /*ring_capacity=*/64, /*pin=*/true);
-  const char want = affinity_supported() ? 1 : 0;
-  ASSERT_EQ(pool.pinned_lanes().size(), kWorkers);
-  for (std::size_t i = 0; i < kWorkers; ++i)
-    EXPECT_EQ(pool.pinned_lanes()[i], want) << "lane " << i;
-  EXPECT_EQ(pool.pinned_count(), affinity_supported() ? kWorkers : 0u);
-  for (int round = 0; round < 2; ++round) {
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    pool.run(kCount, kBurst);
-    for (std::size_t i = 0; i < kCount; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / kBurst) % kWorkers)
-          << "round=" << round << " i=" << i;
-  }
-  // The report is a property of construction, not of any particular run.
-  EXPECT_EQ(pool.pinned_count(), affinity_supported() ? kWorkers : 0u);
-}
-
-TEST(BurstPool, DefaultConstructionDoesNotPin) {
-  BurstPool pool(2, [](std::size_t) -> BurstTask {
-    return [](std::size_t) {};
-  });
-  EXPECT_EQ(pool.pinned_lanes(), std::vector<char>(2, 0));
-  EXPECT_EQ(pool.pinned_count(), 0u);
 }
 
 }  // namespace

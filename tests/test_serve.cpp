@@ -11,7 +11,9 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,6 +32,7 @@
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "ftspanner/conversion.hpp"
+#include "pipeline/burst_pipeline.hpp"
 #include "serve/epoch.hpp"
 #include "serve/http.hpp"
 #include "serve/loadtest.hpp"
@@ -429,28 +432,49 @@ TEST(QueryEngine, WorkerCountNeverChangesAnswers) {
   }
 
   // A cold cache per run so every query is computed, not replayed.
+  // workers = 0 means all hardware threads, as in every other fan-out.
   std::vector<std::vector<ServeAnswer>> results;
-  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{0}, std::size_t{4}}) {
     serve::QueryEngine::Options opt;
     opt.workers = workers;
     opt.cache_capacity = 0;
-    opt.batch = 2;
     serve::QueryEngine engine(g, kept, 3.0, opt);
     std::vector<ServeAnswer> answers;
     engine.answer_batch(queries, answers);
     results.push_back(std::move(answers));
   }
-  ASSERT_EQ(results[0].size(), queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(results[0][i].dh, results[1][i].dh) << "query " << i;
-    EXPECT_EQ(results[0][i].dg, results[1][i].dg) << "query " << i;
+  for (std::size_t run = 1; run < results.size(); ++run) {
+    ASSERT_EQ(results[run].size(), queries.size());
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(results[0][i].dh, results[run][i].dh)
+          << "run " << run << " query " << i;
+      EXPECT_EQ(results[0][i].dg, results[run][i].dg)
+          << "run " << run << " query " << i;
+    }
   }
 }
 
-// ISSUE 10: on a mid-range integer-weight graph — where engine=auto
-// resolves to delta-stepping — served answers must be bit-identical under
-// every engine policy, worker count, and affinity setting; lane pinning is
-// report-only.
+// The lane count resolves like every fan-out width: 0 = all hardware
+// threads, and a bogus request is capped at kMaxWorkers. Lanes spawn on the
+// first miss, so these engines start no thread.
+TEST(QueryEngine, WorkerRequestIsResolvedAndCapped) {
+  const Graph g = gnp_connected(12, 0.3, 5, 3.0);
+  serve::QueryEngine::Options opt;
+  opt.workers = 0;
+  EXPECT_EQ(serve::QueryEngine(g, all_edges(g), 3.0, opt).workers(),
+            std::min(hardware_threads(), kMaxWorkers));
+  opt.workers = kMaxWorkers + 1;
+  EXPECT_EQ(serve::QueryEngine(g, all_edges(g), 3.0, opt).workers(),
+            kMaxWorkers);
+  opt.workers = static_cast<std::size_t>(-1);
+  EXPECT_EQ(serve::QueryEngine(g, all_edges(g), 3.0, opt).workers(),
+            kMaxWorkers);
+}
+
+// On a mid-range integer-weight graph — where engine=auto resolves to
+// delta-stepping — served answers must be bit-identical under every engine
+// policy and worker count.
 TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
   const Graph base = gnp_connected(24, 0.25, 5, 3.0);
   std::vector<Edge> reweighted;
@@ -489,16 +513,10 @@ TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
       serve::QueryEngine::Options opt;
       opt.workers = workers;
       opt.cache_capacity = 0;
-      opt.batch = 2;
       opt.engine = engine;
-      opt.pin = true;  // report-only: must never move an answer bit
       serve::QueryEngine engine_obj(g, kept, 3.0, opt);
       std::vector<ServeAnswer> answers;
       engine_obj.answer_batch(queries, answers);
-      // Affinity reporting: one status per miss-pool lane once it exists
-      // (workers == 1 answers inline and never spawns the pool).
-      const std::vector<char> lanes = engine_obj.lane_pinned();
-      if (workers > 1) EXPECT_EQ(lanes.size(), workers);
       results.push_back(std::move(answers));
     }
   for (std::size_t run = 1; run < results.size(); ++run) {
@@ -1097,6 +1115,40 @@ TEST(IgnoreSigpipe, SendToAClosedPeerReturnsEpipeInsteadOfKilling) {
   EXPECT_EQ(r, -1);
   EXPECT_EQ(errno, EPIPE);
   ::close(sv[0]);
+}
+
+// Pipelined responses are small writes: with Nagle on, each waits for the
+// ACK of the previous one, so a client that delays its ACKs would stall
+// every response. The daemon's accept-side setup must switch Nagle off.
+TEST(ServeDaemon, AcceptedConnectionsSetNodelayAndNonblocking) {
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = 0;
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+  const int client = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(client, 0);
+  ASSERT_EQ(::connect(client, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const int fd = serve::net::accept_retry(listener);
+  ASSERT_GE(fd, 0);
+  serve::net::setup_connection(fd);
+
+  int nodelay = 0;
+  socklen_t optlen = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &optlen), 0);
+  EXPECT_EQ(nodelay, 1);
+  EXPECT_NE(::fcntl(fd, F_GETFL, 0) & O_NONBLOCK, 0);
+  ::close(fd);
+  ::close(client);
+  ::close(listener);
 }
 
 TEST(ServeDaemon, SurvivesClientsVanishingMidResponse) {

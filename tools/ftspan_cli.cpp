@@ -199,7 +199,8 @@ void print_usage(std::FILE* out) {
       "      --host H         bind address, default 127.0.0.1\n"
       "      --port P         port; 0 picks an ephemeral one (printed),\n"
       "                       default 8080\n"
-      "      --threads T      query worker lanes, default 1\n"
+      "      --threads T      conversion workers and query lanes; 0 = all\n"
+      "                       hardware threads, default 1\n"
       "      --cache N        answer-cache entries (0 disables), default 1024\n"
       "      --seed S         RNG seed for the conversion, default 1\n"
       "      --max-pipeline N requests parsed per connection per poll round,\n"
@@ -556,7 +557,7 @@ int cmd_serve(const Args& a) {
   copt.threads = threads;
 
   serve::QueryEngine::Options qo;
-  qo.workers = threads == 0 ? 1 : threads;
+  qo.workers = threads;
   qo.cache_capacity = static_cast<std::size_t>(a.num("cache", 1024));
 
   // The reload builder: load + convert + engine-build, identically to the
@@ -593,7 +594,8 @@ int cmd_serve(const Args& a) {
               "workers=%zu\n",
               so.host.c_str(), daemon.port(), first->graph.num_vertices(),
               first->graph.num_edges(),
-              first->engine->spanner().num_edges(), k, r, qo.workers);
+              first->engine->spanner().num_edges(), k, r,
+              first->engine->workers());
   std::printf("endpoints: /distance?s=S&t=T[&avoid=L]  /stretch?...  "
               "/stats  /healthz  POST /admin/reload[?path=F]  "
               "(SIGINT/SIGTERM to stop, SIGHUP to reload)\n");
