@@ -1,33 +1,31 @@
 // E12 — engine specialization + burst pipeline throughput.
 //
-// PR 6 added two single-thread levers under the same scenario cells PR 4/5
-// tracked: (1) the Dial bucket-queue frontier, selected per graph by the
-// engine=auto policy when the hoisted weight profile shows bounded integer
-// weights, and (2) the dataplane burst pipeline (pipeline/burst_pipeline.hpp)
-// that routes conversion iterations and fault-set checks to per-worker
-// engines in bursts instead of one shared-counter bounce per task. A third
-// frontier — delta-stepping (engine=delta) — covers the mid-range integer
-// regime the bucket's O(max_weight) bucket array cannot reach.
+// Two single-thread levers under the tracked scenario cells: (1) the
+// bucketed frontier, selected per graph by the engine=auto policy when the
+// hoisted weight profile shows integer weights — Dial's queue (shift 0,
+// "bucket") up to kMaxBucketWeight, power-of-two-wide buckets with a
+// heap-ordered open bucket (shift > 0, "delta") above it — and (2) the
+// dataplane burst pipeline (pipeline/burst_pipeline.hpp) that routes
+// conversion iterations and fault-set checks to per-worker engines in
+// bursts instead of one shared-counter bounce per task.
 //
 // This bench runs the tracked presets (conv_throughput,
 // validation_throughput, midrange_throughput — the exact cells
-// `ftspan bench` and CI execute) under every engine policy, checks that
-// every policy produces bit-identical outputs, and reports the measured
+// `ftspan bench` and CI execute) under engine=heap and engine=auto, checks
+// that both produce bit-identical outputs, and reports the measured
 // multiples. It then sweeps threads x engine on the mid-range cell to show
 // neither changes a bit.
 //
 //   $ ./bench_e12_pipeline_throughput [trials] [--json <path>]
 //
-// Acceptance: all engine policies bit-identical on every cell (edges_hash,
-// worst stretch, witnesses); engine=auto resolves to the bucket on the
-// unit-weight cells and to delta on the mid-range cell (where an explicit
-// engine=bucket must downgrade to the heap — the resolver never builds a
-// 1e5-bucket array); bucket beats the forced heap by >= 1.1x on the
-// unit-weight validation cell and delta >= heap on the mid-range cell at
-// one thread. `--json <path>` writes the runner's JSON record with one row
-// per engine setting, each naming the engine actually resolved
-// (engine_resolved) — the BENCH_pr10.json snapshot CI gates against — with
-// hardware_concurrency stamped in every timed cell.
+// Acceptance: both engine policies bit-identical on every cell (edges_hash,
+// worst stretch, witnesses); engine=auto resolves to bucket on the
+// unit-weight cells and to delta on the mid-range cell; auto beats the
+// forced heap by >= 1.1x on the unit-weight validation cell and matches it
+// (>= 1.0x) on the mid-range cell at one thread. `--json <path>` writes the
+// runner's JSON record with one row per engine setting, each naming the
+// queue actually resolved (engine_resolved) — the BENCH_pr10.json shape CI
+// gates against — with hardware_concurrency stamped in every timed cell.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,12 +72,12 @@ int main(int argc, char** argv) {
   // --- conversion cell: engine policy sweep -------------------------------
   double conv_heap_ips = 0, conv_auto_ips = 0;
   {
-    banner("conv_throughput preset under engine=heap|bucket|delta|auto");
+    banner("conv_throughput preset under engine=heap|auto");
     ScenarioSpec spec = preset_spec("conv_throughput");
     Table t({"engine", "resolved", "sec (best)", "iters/s", "|H|",
              "edges_hash"});
     std::uint64_t hash0 = 0;
-    for (const char* engine : {"heap", "bucket", "delta", "auto"}) {
+    for (const char* engine : {"heap", "auto"}) {
       spec.engine = engine;
       const ScenarioReport report = runner::run_scenario(spec);
       const ScenarioCell& cell = report.cells.front();
@@ -111,21 +109,21 @@ int main(int argc, char** argv) {
   }
 
   // --- validation cell: engine policy sweep -------------------------------
-  double val_heap_sps = 0, val_bucket_sps = 0;
+  double val_heap_sps = 0, val_auto_sps = 0;
   {
-    banner("validation_throughput preset under engine=heap|bucket|delta|auto");
+    banner("validation_throughput preset under engine=heap|auto");
     ScenarioSpec spec = preset_spec("validation_throughput");
     spec.trials = trials;  // more fault sets -> steadier clock
     Table t({"engine", "resolved", "val sec", "sets/s", "worst stretch"});
     ScenarioCell base;
     bool have_base = false;
-    for (const char* engine : {"heap", "bucket", "delta", "auto"}) {
+    for (const char* engine : {"heap", "auto"}) {
       spec.engine = engine;
       const ScenarioReport report = runner::run_scenario(spec);
       const ScenarioCell& cell = report.cells.front();
       const double sps = cell.fault_sets / cell.val_seconds;
       if (std::strcmp(engine, "heap") == 0) val_heap_sps = sps;
-      if (std::strcmp(engine, "bucket") == 0) val_bucket_sps = sps;
+      if (std::strcmp(engine, "auto") == 0) val_auto_sps = sps;
       t.row()
           .cell(engine)
           .cell(cell.engine_resolved)
@@ -146,29 +144,31 @@ int main(int argc, char** argv) {
       }
     }
     t.print();
-    const double multiple = val_bucket_sps / val_heap_sps;
-    std::printf("\nbucket/heap multiple: %.2fx (need >= 1.1x)\n", multiple);
+    const double multiple = val_auto_sps / val_heap_sps;
+    std::printf("\nauto/heap multiple: %.2fx (need >= 1.1x; auto resolves to "
+                "the bucket queue)\n",
+                multiple);
     if (multiple < 1.1) {
       std::printf("acceptance FAILED: bucket did not beat the heap\n");
       ok = false;
     }
   }
 
-  // --- mid-range cell: the delta-stepping regime --------------------------
+  // --- mid-range cell: the shift > 0 (delta) regime ----------------------
   {
-    banner("midrange_throughput preset under engine=heap|bucket|delta|auto");
+    banner("midrange_throughput preset under engine=heap|auto");
     ScenarioSpec spec = preset_spec("midrange_throughput");
     Table t({"engine", "resolved", "val sec", "sets/s", "worst stretch"});
     ScenarioCell base;
     bool have_base = false;
     double heap_sps = 0, delta_sps = 0;
-    for (const char* engine : {"heap", "bucket", "delta", "auto"}) {
+    for (const char* engine : {"heap", "auto"}) {
       spec.engine = engine;
       const ScenarioReport report = runner::run_scenario(spec);
       const ScenarioCell& cell = report.cells.front();
       const double sps = cell.fault_sets / cell.val_seconds;
       if (std::strcmp(engine, "heap") == 0) heap_sps = sps;
-      if (std::strcmp(engine, "delta") == 0) delta_sps = sps;
+      if (std::strcmp(engine, "auto") == 0) delta_sps = sps;
       t.row()
           .cell(engine)
           .cell(cell.engine_resolved)
@@ -187,12 +187,9 @@ int main(int argc, char** argv) {
                     engine);
         ok = false;
       }
-      // The resolver's contract on a 1e5-max integer graph: auto and
-      // explicit delta run delta-stepping; explicit bucket must downgrade
-      // to the heap rather than build a 1e5-slot bucket array.
-      const char* want = std::strcmp(engine, "heap") == 0    ? "heap"
-                         : std::strcmp(engine, "bucket") == 0 ? "heap"
-                                                              : "delta";
+      // The resolver's contract on a 1e5-max integer graph: auto runs the
+      // bucketed queue at shift > 0 rather than a 1e5-slot Dial array.
+      const char* want = std::strcmp(engine, "heap") == 0 ? "heap" : "delta";
       if (cell.engine_resolved != want) {
         std::printf("RESOLUTION FAILED: engine=%s resolved to %s, want %s\n",
                     engine, cell.engine_resolved.c_str(), want);
@@ -215,7 +212,7 @@ int main(int argc, char** argv) {
     ScenarioSpec spec = preset_spec("midrange_throughput");
     Table t({"engine", "threads", "val sec", "sets/s", "edges_hash"});
     std::uint64_t hash0 = 0;
-    for (const char* engine : {"heap", "delta"}) {
+    for (const char* engine : {"heap", "auto"}) {
       spec.engine = engine;
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
                                         std::size_t{4}}) {
@@ -247,14 +244,14 @@ int main(int argc, char** argv) {
   // --- the tracked snapshot ------------------------------------------------
   if (json_path != nullptr) {
     // The tracked cells at their preset definitions plus the mid-range cell
-    // under every engine setting — one JSON row per engine, each naming the
-    // engine actually resolved (engine_resolved; delta rows included) —
-    // and a threads sweep over the mid-range cell. hardware_concurrency is
-    // stamped inside every timed cell. This is the BENCH_pr10.json snapshot
-    // CI's perf-smoke gates against.
+    // under both engine settings — one JSON row per engine, each naming the
+    // queue actually resolved (engine_resolved) — and a threads sweep over
+    // the mid-range cell. hardware_concurrency is stamped inside every
+    // timed cell. CI's perf-smoke gates against a snapshot of this shape
+    // (BENCH_pr10.json), matching rows by spec.
     std::vector<ScenarioSpec> specs = {preset_spec("conv_throughput"),
                                        preset_spec("validation_throughput")};
-    for (const char* engine : {"heap", "bucket", "delta", "auto"}) {
+    for (const char* engine : {"heap", "auto"}) {
       ScenarioSpec spec = preset_spec("midrange_throughput");
       spec.engine = engine;
       specs.push_back(spec);

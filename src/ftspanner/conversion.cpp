@@ -106,11 +106,9 @@ ConversionResult ft_greedy_spanner(const Graph& g, double k, std::size_t r,
   // iteration and every worker (it is read-only after construction).
   const GreedyContext ctx(g);
   const SpEnginePolicy engine = options.engine;
-  const Weight bucket_max = options.bucket_max;
-  const BaseSpannerFactory factory = [&ctx, k, engine,
-                                      bucket_max]() -> BoundBaseSpanner {
+  const BaseSpannerFactory factory = [&ctx, k, engine]() -> BoundBaseSpanner {
     auto ws = std::make_shared<GreedyWorkspace>();
-    ws->set_engine(engine, bucket_max);
+    ws->set_engine(engine);
     return [&ctx, k, ws](const VertexSet* mask,
                          std::uint64_t) -> std::span<const EdgeId> {
       return ws->run(ctx, k, mask);

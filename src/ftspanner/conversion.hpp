@@ -70,11 +70,6 @@ struct ConversionOptions {
   /// (graph/engine_policy.hpp); custom BaseSpanner callbacks are free to
   /// ignore it. Never affects the output edge set.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
-
-  /// Integer-weight ceiling separating the Dial bucket queue from
-  /// delta-stepping under engine resolution (the `bucket_max=` knob; see
-  /// graph/engine_policy.hpp). Never affects the output edge set.
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 struct ConversionResult {

@@ -110,13 +110,11 @@ EdgeFtResult ft_edge_greedy_spanner(const Graph& g, double k, std::size_t r,
   for (EdgeId id = 0; id < m; ++id) profile.observe(g.edge(id).w);
 
   const SpEnginePolicy engine = options.engine;
-  const Weight bucket_max = options.bucket_max;
   const IterationBodyFactory bodies = [&g, k, keep, seed, n, m, profile,
-                                       engine,
-                                       bucket_max](std::size_t) -> IterationBody {
+                                       engine](std::size_t) -> IterationBody {
     auto ws = std::make_shared<GreedyWorkspace>();
     ws->reserve(n, m);
-    ws->set_engine(engine, bucket_max);
+    ws->set_engine(engine);
     ws->configure_scratch(profile);
     auto survivors = std::vector<EdgeId>();
     survivors.reserve(m);

@@ -35,10 +35,6 @@ struct EdgeFtOptions {
   /// Shortest-path engine policy for the per-iteration greedy searches
   /// (graph/engine_policy.hpp). Output is engine-independent.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
-
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  /// Output is engine-independent.
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 struct EdgeFtResult {

@@ -1,13 +1,12 @@
 // Engine selection for the shortest-path engine (graph/sp_engine.hpp).
 //
-// The engine owns three interchangeable priority structures: the 4-ary heap
-// (works on any weights), a Dial-style bucket queue (integer weights only,
-// O(1) push/pop — the classic win over comparison heaps for bounded integer
-// distances), and a delta-stepping queue (integer weights of any magnitude:
-// delta-wide buckets park far pushes in O(1), a small heap orders only the
-// active bucket). Callers express a *policy*; the concrete queue is picked
-// per graph from its hoisted weight profile (see WeightProfile in
-// graph/csr.hpp), so `auto` costs one branch per run, not a per-run scan.
+// The engine owns two priority structures: the 4-ary heap (works on any
+// weights) and a bucketed queue for non-negative integer weights (key >>
+// shift buckets with O(1) push; at shift 0 it is Dial's queue, above it a
+// small heap orders only the open bucket). Callers express a *policy*; the
+// structure and its shift are picked per graph from its hoisted weight
+// profile (see WeightProfile in graph/csr.hpp), so `auto` costs one branch
+// per run, not a per-run scan.
 #pragma once
 
 #include <cstdint>
@@ -18,70 +17,45 @@
 
 namespace ftspan {
 
-/// The concrete priority structure a run uses.
+/// The priority structure a run resolves to. kBucket and kDelta are both
+/// the bucketed queue and differ only in its shift: kBucket is shift 0
+/// (Dial, max_weight <= kMaxBucketWeight), kDelta is shift > 0 (the
+/// mid-range regime: DIMACS road weights up to ~10^6).
 enum class SpQueue : std::uint8_t { kHeap, kBucket, kDelta };
 
-/// What the caller asked for. kAuto resolves per graph: the bucket queue
-/// when the weights are non-negative integers no larger than the bucket
-/// ceiling, the delta queue for integer weights above it (the mid-range
-/// regime: DIMACS road weights up to ~10^6), and the heap otherwise.
-/// kBucket and kDelta are *requests*, downgraded to the heap on fractional
-/// weights (a label-setting bucket structure is incorrect there), so every
-/// policy is safe on every graph.
-enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap, kBucket, kDelta };
+/// What the caller asked for. kAuto resolves per graph: the bucketed queue
+/// on non-negative integer weights, the heap otherwise (a label-setting
+/// bucket structure is incorrect on fractional keys), so it is safe on every
+/// graph. kHeap forces the heap — the reference the bucketed queue must
+/// reproduce bit for bit.
+enum class SpEnginePolicy : std::uint8_t { kAuto, kHeap };
 
-/// Largest integer arc weight the bucket queue accepts by default: the
-/// circular bucket array has max_weight + 1 slots and a pop scans forward
-/// one key at a time (Dial's O(m + D)), so huge weights would trade heap
-/// log-factors for a worse linear scan. 4096 covers every integer-weight
-/// workload in the registry with a bucket array that still fits in L1/L2.
-/// Overridable per scenario via the `bucket_max=` knob, which doubles as
-/// the delta queue's bucket-count budget (see tune_delta).
+/// Bucket budget of the bucketed queue: its circular array has at most
+/// about kMaxBucketWeight + 1 buckets, and a pop scans forward one bucket at
+/// a time (Dial's O(m + D)), so the budget caps that scan while the array
+/// still fits in L1/L2. Integer weights up to it get one key per bucket
+/// (shift 0); larger weights get power-of-two-wide buckets (see tune_delta).
 inline constexpr Weight kMaxBucketWeight = 4096;
 
-/// Upper wall for the `bucket_max=` knob: the bucket array is allocated
-/// eagerly at bucket_max + 1 slots, so an unchecked value would turn a typo
-/// into a multi-GiB allocation. 2^20 slots is ~16 MiB of Slot heads — far
-/// past any L2-friendly configuration but still a safe experiment.
-inline constexpr Weight kBucketMaxCeiling = 1048576;
-
-/// Auto-tuned delta-stepping bucket width: the smallest power of two such
-/// that max_weight / delta <= bucket_max, i.e. the delta bucket array has
-/// at most bucket_max + 2 buckets — the same array budget the Dial queue
-/// gets at its ceiling. Power-of-two widths make bucketing a shift, not a
-/// division. Examples at the default ceiling: max_weight 10^5 -> delta 32,
-/// 10^6 -> delta 256.
-inline Weight tune_delta(Weight max_weight,
-                         Weight bucket_max = kMaxBucketWeight) {
+/// Auto-tuned bucket width: the smallest power of two delta such that
+/// max_weight / delta <= kMaxBucketWeight. Power-of-two widths make
+/// bucketing a shift, not a division. Examples: max_weight <= 4096 ->
+/// delta 1, 10^5 -> delta 32, 10^6 -> delta 256.
+inline Weight tune_delta(Weight max_weight) {
   Weight delta = 1;
-  while (max_weight / delta > bucket_max) delta *= 2;
+  while (max_weight / delta > kMaxBucketWeight) delta *= 2;
   return delta;
 }
 
 inline SpQueue select_sp_queue(SpEnginePolicy policy, bool weights_integral,
-                               Weight max_weight,
-                               Weight bucket_max = kMaxBucketWeight) {
-  switch (policy) {
-    case SpEnginePolicy::kHeap: return SpQueue::kHeap;
-    case SpEnginePolicy::kBucket:
-      return weights_integral && max_weight <= bucket_max ? SpQueue::kBucket
-                                                          : SpQueue::kHeap;
-    case SpEnginePolicy::kDelta:
-      return weights_integral ? SpQueue::kDelta : SpQueue::kHeap;
-    case SpEnginePolicy::kAuto:
-    default:
-      if (!weights_integral) return SpQueue::kHeap;
-      return max_weight <= bucket_max ? SpQueue::kBucket : SpQueue::kDelta;
-  }
+                               Weight max_weight) {
+  if (policy == SpEnginePolicy::kHeap || !weights_integral)
+    return SpQueue::kHeap;
+  return max_weight <= kMaxBucketWeight ? SpQueue::kBucket : SpQueue::kDelta;
 }
 
 inline const char* to_string(SpEnginePolicy p) {
-  switch (p) {
-    case SpEnginePolicy::kHeap: return "heap";
-    case SpEnginePolicy::kBucket: return "bucket";
-    case SpEnginePolicy::kDelta: return "delta";
-    default: return "auto";
-  }
+  return p == SpEnginePolicy::kHeap ? "heap" : "auto";
 }
 
 inline const char* to_string(SpQueue q) {
@@ -95,8 +69,6 @@ inline const char* to_string(SpQueue q) {
 inline std::optional<SpEnginePolicy> parse_engine_policy(std::string_view s) {
   if (s == "auto") return SpEnginePolicy::kAuto;
   if (s == "heap") return SpEnginePolicy::kHeap;
-  if (s == "bucket") return SpEnginePolicy::kBucket;
-  if (s == "delta") return SpEnginePolicy::kDelta;
   return std::nullopt;
 }
 

@@ -6,7 +6,6 @@ void DijkstraEngine::reserve(std::size_t n, std::size_t heap_hint) {
   ensure(n);
   heap_.reserve(heap_hint);
   bucket_.reserve(heap_hint);
-  delta_.reserve(heap_hint);
 }
 
 void DijkstraEngine::ensure(std::size_t n) {

@@ -7,43 +7,32 @@
 // arrays, a reusable priority structure, and the settle-order log, so that
 // after the first run at a given graph size a run performs zero heap
 // allocations — invalidation of the previous run's state is an O(1) epoch
-// bump, not an O(n) infinity-fill (the trick that bought 17.6x on the
-// validation side in validate/scratch.hpp, now shared by the construction
-// side too).
+// bump, not an O(n) infinity-fill.
 //
-// Three interchangeable priority structures sit behind the same loop
+// Two interchangeable priority structures sit behind the same loop
 // (selected with set_queue; see graph/engine_policy.hpp for the policy):
 //
 //   HeapQueue    a 4-ary min-heap ordered by (distance, push sequence) —
 //                the push-sequence tie-break makes equal-distance pops FIFO,
 //                i.e. *stable*, which pins the settle order to something a
-//                bucket queue can reproduce exactly.
-//   BucketQueue  Dial's algorithm: max_weight + 1 circular buckets indexed
-//                by distance mod width, FIFO within a bucket, O(1) push and
-//                amortized O(1) pop. Integer weights only (a label-setting
-//                bucket queue is incorrect on fractional keys); on integer
-//                weights it pops in exactly the stable heap's (distance,
-//                push sequence) order, so distances, parents, vias, and the
-//                settle order are bit-identical between the two structures.
-//   DeltaQueue   delta-stepping (Meyer–Sanders) for integer weights above
-//                the Dial ceiling: delta-wide buckets (delta a power of
-//                two, so bucketing is a shift) park far pushes in the same
-//                flat-slab intrusive-FIFO layout as the BucketQueue; the
-//                active bucket is drained through a small binary heap on
-//                (distance bits, push sequence) — the settle-stamp pass.
-//                Classic delta-stepping is label-correcting (re-relaxes
-//                light edges); this is the deterministic *label-setting*
-//                variant: because Dijkstra's frontier is monotone and the
-//                buckets partition the key space, the global pop order is
-//                exactly (distance, push sequence) lexicographic, i.e.
-//                bit-identical to the stable heap — the heap log factor is
-//                paid only within one delta-window, not across the whole
-//                frontier.
+//                bucketed queue can reproduce exactly.
+//   BucketQueue  integer weights only (a label-setting bucket queue is
+//                incorrect on fractional keys): circular buckets indexed by
+//                key >> shift, with far pushes parked in O(1). At shift 0
+//                each bucket holds one key and is popped as a FIFO — Dial's
+//                algorithm. Above the Dial ceiling the buckets are
+//                2^shift keys wide and the open bucket is ordered by a small
+//                heap on (distance, push sequence) — the deterministic,
+//                label-setting variant of delta-stepping (Meyer–Sanders).
+//                Either way the pops come out in exactly the stable heap's
+//                (distance, push sequence) order, so distances, parents,
+//                vias, and the settle order are bit-identical between the
+//                two structures.
 //
 // Usage pattern: one engine per thread, reused across runs. Engines are not
 // thread-safe; never share one across concurrent callers.
 //
-// Semantics (identical to the historical implementations it replaces):
+// Semantics:
 //   - `bound`:   a relaxation with tentative distance nd > bound is skipped;
 //                vertices beyond the bound stay at infinity.
 //   - `targets`: with a non-empty target list the search stops as soon as
@@ -98,29 +87,25 @@ class DijkstraEngine {
   /// on the very first search.
   void reserve(std::size_t n, std::size_t heap_hint);
 
-  /// Selects the priority structure for subsequent runs. For kBucket and
-  /// kDelta, max_weight is the largest integer arc weight any run will
-  /// relax (the Dial array gets max_weight + 1 slots; the delta queue gets
-  /// tune_delta(max_weight, bucket_max)-wide buckets, at most
-  /// bucket_max + 2 of them); the caller is responsible for only routing
+  /// Selects the priority structure for subsequent runs. kBucket and
+  /// kDelta both select the bucketed queue; max_weight is the largest
+  /// integer arc weight any run will relax, and fixes its bucket width
+  /// (tune_delta) and hence the label queue() reports: kBucket at shift 0,
+  /// kDelta above it. The caller is responsible for only routing
   /// integer-weight graphs here — use select_sp_queue with the graph's
   /// WeightProfile. Defaults to the heap.
-  void set_queue(SpQueue q, Weight max_weight = 1,
-                 Weight bucket_max = kMaxBucketWeight) {
-    queue_ = q;
-    if (q == SpQueue::kBucket) {
-      bucket_.configure(static_cast<std::size_t>(max_weight) + 1);
-    } else if (q == SpQueue::kDelta) {
-      const Weight delta = tune_delta(max_weight, bucket_max);
-      delta_.configure(delta,
-                       static_cast<std::size_t>(max_weight / delta) + 2);
+  void set_queue(SpQueue q, Weight max_weight = 1) {
+    if (q == SpQueue::kHeap) {
+      queue_ = q;
+      return;
     }
+    bucket_.configure(max_weight);
+    queue_ = bucket_.shift() == 0 ? SpQueue::kBucket : SpQueue::kDelta;
   }
   SpQueue queue() const { return queue_; }
 
   /// Single-source run; see the header comment for bound/targets semantics.
-  /// G is Graph, Digraph, or Csr. Drop-in replacement for the retired
-  /// DijkstraScratch::run.
+  /// G is Graph, Digraph, or Csr.
   template <class G>
   void run(const G& g, Vertex source, const VertexSet* faults = nullptr,
            std::span<const Vertex> targets = {},
@@ -163,8 +148,8 @@ class DijkstraEngine {
               });
   }
 
-  /// Single-pair distance with early exit once `target` settles; same
-  /// semantics as the historical pair_distance (bounded, fault-masked).
+  /// Single-pair distance with early exit once `target` settles (bounded,
+  /// fault-masked).
   template <class G>
   Weight bounded_pair(const G& g, Vertex source, Vertex target,
                       const VertexSet* faults = nullptr,
@@ -207,14 +192,11 @@ class DijkstraEngine {
                  const VertexSet* faults, Weight bound,
                  std::span<const Vertex> targets, const Weight* prune_at,
                  VisitArcs&& visit) {
-    if (queue_ == SpQueue::kBucket)
+    if (queue_ == SpQueue::kHeap)
+      run_visit_q(heap_, n, sources, faults, bound, targets, prune_at, visit);
+    else
       run_visit_q(bucket_, n, sources, faults, bound, targets, prune_at,
                   visit);
-    else if (queue_ == SpQueue::kDelta)
-      run_visit_q(delta_, n, sources, faults, bound, targets, prune_at,
-                  visit);
-    else
-      run_visit_q(heap_, n, sources, faults, bound, targets, prune_at, visit);
   }
 
   /// Exact bounded s-t distance by *bidirectional* search: two cooperating
@@ -229,22 +211,19 @@ class DijkstraEngine {
   /// against a threshold must treat a window around that threshold as
   /// undecided and re-query run() — see GreedyWorkspace::bounded_pair.
   /// Undirected adjacency only: `visit` serves both directions. Both engines
-  /// must be configured with the same queue kind (they are dispatched on
-  /// fwd's).
+  /// must be configured with the same queue and max_weight (they are
+  /// dispatched on fwd's).
   template <class VisitArcs>
   static Weight bidirectional_bounded_pair(DijkstraEngine& fwd,
                                            DijkstraEngine& bwd, std::size_t n,
                                            Vertex s, Vertex t,
                                            const VertexSet* faults,
                                            Weight bound, VisitArcs&& visit) {
-    if (fwd.queue_ == SpQueue::kBucket)
-      return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
+    if (fwd.queue_ == SpQueue::kHeap)
+      return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t,
                                 faults, bound, visit);
-    if (fwd.queue_ == SpQueue::kDelta)
-      return bidirectional_impl(fwd.delta_, bwd.delta_, fwd, bwd, n, s, t,
-                                faults, bound, visit);
-    return bidirectional_impl(fwd.heap_, bwd.heap_, fwd, bwd, n, s, t, faults,
-                              bound, visit);
+    return bidirectional_impl(fwd.bucket_, bwd.bucket_, fwd, bwd, n, s, t,
+                              faults, bound, visit);
   }
 
   // --- epoch plumbing (exposed for the rollover test) ----------------------
@@ -263,15 +242,15 @@ class DijkstraEngine {
 
   // 4-ary min-heap: shallower than a binary heap (fewer cache-missing levels
   // per sift) and branch-friendly on the 4-child min scan. Items carry a
-  // per-run push sequence number and order lexicographically by
-  // (d, seq) — seq values are unique, so the order is total and pops of
-  // equal-distance entries come out in push (FIFO) order, exactly matching
-  // the BucketQueue below. Distances are stored as their raw IEEE-754 bits:
-  // for the non-negative finite-or-infinity values Dijkstra produces, the
-  // bit patterns order identically to the doubles, and integer compares let
-  // the compiler fuse the (key, seq) test without double-comparison
-  // semantics in the way — ties are *the* common case on unit-weight graphs,
-  // so the tie branch is hot.
+  // per-run push stamp and order lexicographically by (d, stamp) — stamps
+  // are unique, so the order is total and pops of equal-distance entries
+  // come out in push (FIFO) order, exactly matching the BucketQueue below.
+  // Distances are stored as their raw IEEE-754 bits: for the non-negative
+  // finite-or-infinity values Dijkstra produces, the bit patterns order
+  // identically to the doubles, and integer compares let the compiler fuse
+  // the (key, stamp) test without double-comparison semantics in the way —
+  // ties are *the* common case on unit-weight graphs, so the tie branch is
+  // hot.
   class HeapQueue {
    public:
     void clear() {
@@ -283,8 +262,11 @@ class DijkstraEngine {
     Weight front_d() const { return std::bit_cast<Weight>(items_.front().key); }
     void reserve(std::size_t cap) { items_.reserve(cap); }
 
-    void push(Weight d, Vertex v) {
-      items_.push_back({std::bit_cast<std::uint64_t>(d), v, seq_++});
+    void push(Weight d, Vertex v) { push_stamped(d, v, seq_++); }
+
+    /// Push with a caller-supplied stamp (the BucketQueue's slab index).
+    void push_stamped(Weight d, Vertex v, std::uint32_t stamp) {
+      items_.push_back({std::bit_cast<std::uint64_t>(d), v, stamp});
       std::size_t i = items_.size() - 1;
       while (i > 0) {
         const std::size_t p = (i - 1) >> 2;
@@ -322,7 +304,7 @@ class DijkstraEngine {
       std::uint64_t key;  ///< distance as raw bits (order-preserving for >= 0)
       Vertex v;
       std::uint32_t seq;
-    };  // 16 bytes: the seq fills what was previously padding
+    };  // 16 bytes: the stamp fills what would otherwise be padding
 
     static bool less(const Item& a, const Item& b) {
       return a.key < b.key || (a.key == b.key && a.seq < b.seq);
@@ -332,35 +314,50 @@ class DijkstraEngine {
     std::uint32_t seq_ = 0;
   };
 
-  // Dial's bucket queue: width = max_weight + 1 circular buckets, bucket
-  // index = integer distance mod width. Dijkstra's frontier is monotone and
-  // spans at most max_weight + 1 distinct keys, so the bucket holding the
-  // current key is always unambiguous. Entries live in one flat slab with an
-  // intrusive per-bucket FIFO list (head/tail indices), so the whole
-  // structure is three flat arrays: the slab never re-allocates once
-  // reserve()d to the push bound (2m + #sources — the same bound the heap
-  // uses), unlike a vector-per-bucket layout whose per-bucket capacities
-  // would keep growing run over run. Appends during a bucket's drain land
-  // behind the list head and are popped in the same pass, which preserves
-  // global FIFO-within-key — the order the stable heap reproduces.
+  // Bucketed queue for integer keys: circular buckets indexed by
+  // key >> shift. Dijkstra's frontier is monotone and spans at most
+  // max_weight + 1 distinct keys, so with width = ceil(max_weight / 2^shift)
+  // + 1 buckets the bucket holding a live key is always unambiguous and a
+  // push lands at the cursor's bucket plus an offset with one conditional
+  // wrap — no hardware division. Entries live in one flat slab with an
+  // intrusive per-bucket FIFO list (head/tail indices), so the parked
+  // frontier is three flat arrays that never re-allocate once reserve()d to
+  // the push bound (2m + #sources — the same bound the heap uses).
+  //
+  // The *open window* is the cursor's bucket:
+  //   - shift 0 (Dial): a bucket holds one key, so its FIFO already pops in
+  //     (distance, push order); appends during a bucket's drain land behind
+  //     the list head and are popped in the same pass.
+  //   - shift > 0: when the cursor reaches a bucket its FIFO chain moves
+  //     into a small heap on (distance bits, slab index), and pushes that
+  //     land in the open bucket go straight to that heap. Every push gets a
+  //     slab slot, so the slab index is the global push stamp.
+  // Monotonicity makes the open bucket's contents the global minimum, so
+  // both windows pop in exactly the stable heap's order.
   class BucketQueue {
    public:
-    /// Sizes the circular array for keys spanning `width` = max_weight + 1.
-    /// Only grows; leftover entries from an abandoned run are dropped by the
-    /// next clear().
-    void configure(std::size_t width) {
-      if (heads_.size() < width) {
-        heads_.resize(width, kNil);
-        tails_.resize(width, kNil);
+    /// Sizes the buckets for keys relaxed over arcs of weight at most
+    /// max_weight (see tune_delta). Only grows; leftover entries from an
+    /// abandoned run are dropped by the next clear().
+    void configure(Weight max_weight) {
+      const auto delta = static_cast<std::uint64_t>(tune_delta(max_weight));
+      shift_ = static_cast<std::uint32_t>(std::countr_zero(delta));
+      width_ = static_cast<std::size_t>(
+          ((static_cast<std::uint64_t>(max_weight) + delta - 1) >> shift_) +
+          1);
+      if (heads_.size() < width_) {
+        heads_.resize(width_, kNil);
+        tails_.resize(width_, kNil);
       }
-      width_ = width;
     }
+    std::uint32_t shift() const { return shift_; }
 
-    /// Pre-sizes the slab for a run pushing at most cap entries (the dirty
-    /// list is bounded by the push count too).
+    /// Pre-sizes the slab, dirty list and window heap for a run pushing at
+    /// most cap entries.
     void reserve(std::size_t cap) {
       slab_.reserve(cap);
       dirty_.reserve(cap);
+      window_.reserve(cap);
     }
 
     void clear() {
@@ -370,6 +367,7 @@ class DijkstraEngine {
       }
       dirty_.clear();
       slab_.clear();
+      window_.clear();
       cur_ = 0;
       cur_b_ = 0;
       live_ = 0;
@@ -377,15 +375,15 @@ class DijkstraEngine {
     bool empty() const { return live_ == 0; }
 
     void push(Weight d, Vertex v) {
-      // Monotonicity gives key - cur_ < width_, so the bucket index is the
-      // cursor's bucket plus that offset with one conditional wrap — no
-      // hardware division (a div per push would dominate these short
-      // searches).
-      const std::uint64_t key = static_cast<std::uint64_t>(d);
-      std::size_t b = cur_b_ + static_cast<std::size_t>(key - cur_);
-      if (b >= width_) b -= width_;
+      const std::uint64_t key = static_cast<std::uint64_t>(d) >> shift_;
       const std::uint32_t i = static_cast<std::uint32_t>(slab_.size());
       slab_.push_back({d, v, kNil});
+      ++live_;
+      if (shift_ != 0 && key == cur_) return window_push(d, v, i);
+      // Monotonicity gives key - cur_ < width_: one conditional wrap, no
+      // hardware division (a div per push would dominate short searches).
+      std::size_t b = cur_b_ + static_cast<std::size_t>(key - cur_);
+      if (b >= width_) b -= width_;
       if (heads_[b] == kNil) {
         dirty_.push_back(static_cast<std::uint32_t>(b));
         heads_[b] = i;
@@ -393,17 +391,21 @@ class DijkstraEngine {
         slab_[tails_[b]].next = i;
       }
       tails_[b] = i;
-      ++live_;
     }
 
     /// Minimum queued distance. Precondition: !empty().
-    Weight front_d() { return slab_[heads_[advance()]].d; }
+    Weight front_d() {
+      if (shift_ == 0) return slab_[heads_[advance()]].d;
+      open_window();
+      return window_.front_d();
+    }
 
     QueueItem pop() {
+      --live_;
+      if (shift_ != 0) return window_pop();
       const std::size_t b = advance();
       const Slot& s = slab_[heads_[b]];
       heads_[b] = s.next;
-      --live_;
       return {s.d, s.v};
     }
 
@@ -416,11 +418,11 @@ class DijkstraEngine {
       std::uint32_t next;  ///< next slab index in this bucket's FIFO, or kNil
     };  // 16 bytes, no padding
 
-    /// Index of the bucket holding the current minimum key. An empty bucket
-    /// at the cursor means no live key equals it (live keys sit in
+    /// Index of the first non-empty bucket at or after the cursor. An empty
+    /// bucket at the cursor means no live key maps to it (live keys sit in
     /// [cur_, cur_ + width_ - 1], so indices are unambiguous), and the slot
-    /// it vacates is exactly the one key cur_ + width_ will need.
-    /// Precondition: !empty().
+    /// it vacates is exactly the one bucket cur_ + width_ will need.
+    /// Precondition: a live entry is parked.
     std::size_t advance() {
       while (heads_[cur_b_] == kNil) {
         ++cur_;
@@ -429,191 +431,39 @@ class DijkstraEngine {
       return cur_b_;
     }
 
-    std::vector<Slot> slab_;            ///< all entries, in push order
+    /// shift > 0: if the window heap is drained, advances to the next
+    /// non-empty bucket and moves its chain into the heap. The open
+    /// bucket's own FIFO stays empty (its pushes go to the heap), so the
+    /// scan never stops at it again. Precondition: !empty().
+    void open_window() {
+      if (!window_.empty()) return;
+      const std::size_t b = advance();
+      for (std::uint32_t i = heads_[b]; i != kNil; i = slab_[i].next)
+        window_.push_stamped(slab_[i].d, slab_[i].v, i);
+      heads_[b] = kNil;
+    }
+
+    // The shift > 0 window operations stay out of line, so the shift-0
+    // (Dial) push/pop inlined into the search loops is as small as a
+    // dedicated Dial queue's.
+    [[gnu::noinline]] void window_push(Weight d, Vertex v, std::uint32_t i) {
+      window_.push_stamped(d, v, i);
+    }
+    [[gnu::noinline]] QueueItem window_pop() {
+      open_window();
+      return window_.pop();
+    }
+
+    std::vector<Slot> slab_;            ///< every entry, in push order
     std::vector<std::uint32_t> heads_;  ///< per-bucket FIFO head slab index
     std::vector<std::uint32_t> tails_;  ///< per-bucket FIFO tail slab index
     std::vector<std::uint32_t> dirty_;  ///< buckets made non-empty since clear
+    HeapQueue window_;                  ///< open bucket's order, shift > 0
+    std::uint32_t shift_ = 0;           ///< log2(bucket width in keys)
     std::size_t width_ = 1;
-    std::uint64_t cur_ = 0;   ///< absolute key cursor (monotone within a run)
+    std::uint64_t cur_ = 0;   ///< absolute bucket cursor (monotone in a run)
     std::size_t cur_b_ = 0;   ///< cur_ % width_, maintained incrementally
     std::size_t live_ = 0;
-  };
-
-  // Delta-stepping queue: a two-level structure for integer weights above
-  // the Dial ceiling. Level 1 is the BucketQueue's flat-slab circular array,
-  // but each bucket spans a delta-wide key range (delta a power of two, so
-  // bucket index = integer key >> shift — no division); a push beyond the
-  // active bucket parks its entry in O(1), untouched until its bucket opens.
-  // Level 2 is a small binary min-heap on (distance bits, push sequence):
-  // when the cursor reaches a bucket, its whole FIFO chain is moved into the
-  // heap (the settle-stamp pass), and pushes that land *inside* the open
-  // bucket's window go straight to the heap. Monotonicity makes the open
-  // bucket's contents the global minimum at all times, and the heap's
-  // (key, seq) order is total, so pops come out in exactly the stable heap's
-  // order — bit-identical settle order at a log factor paid only within one
-  // delta window. Unlike classic (label-correcting) delta-stepping there is
-  // no re-relaxation: the engine's stale-entry check keeps this label-
-  // setting, and determinism is structural, not a post-pass.
-  class DeltaQueue {
-   public:
-    /// Sizes the circular array for `width` buckets of `delta` keys each
-    /// (delta must be a power of two — use tune_delta). Only grows; leftover
-    /// entries from an abandoned run are dropped by the next clear().
-    void configure(Weight delta, std::size_t width) {
-      shift_ = static_cast<std::uint32_t>(
-          std::countr_zero(static_cast<std::uint64_t>(delta)));
-      if (heads_.size() < width) {
-        heads_.resize(width, kNil);
-        tails_.resize(width, kNil);
-      }
-      width_ = width;
-    }
-
-    /// Pre-sizes the slab and the active heap for a run pushing at most cap
-    /// entries (every parked entry may pass through the heap).
-    void reserve(std::size_t cap) {
-      slab_.reserve(cap);
-      dirty_.reserve(cap);
-      active_.reserve(cap);
-    }
-
-    void clear() {
-      for (const std::uint32_t b : dirty_) {
-        heads_[b] = kNil;
-        tails_[b] = kNil;
-      }
-      dirty_.clear();
-      slab_.clear();
-      active_.clear();
-      cur_ab_ = 0;
-      cur_b_ = 0;
-      live_ = 0;
-      seq_ = 0;
-      open_ = false;
-    }
-    bool empty() const { return live_ == 0; }
-
-    void push(Weight d, Vertex v) {
-      const std::uint64_t ab = static_cast<std::uint64_t>(d) >> shift_;
-      ++live_;
-      if (open_ && ab == cur_ab_) {
-        // Lands inside the open window: joins the settle heap directly so
-        // it is ordered against the bucket's remaining entries.
-        heap_push({std::bit_cast<std::uint64_t>(d), v, seq_++});
-        return;
-      }
-      // Far push: park it. Monotonicity bounds ab - cur_ab_ by
-      // max_weight / delta + 1 < width_, so one conditional wrap suffices.
-      std::size_t b = cur_b_ + static_cast<std::size_t>(ab - cur_ab_);
-      if (b >= width_) b -= width_;
-      const std::uint32_t i = static_cast<std::uint32_t>(slab_.size());
-      slab_.push_back({d, v, seq_++, kNil});
-      if (heads_[b] == kNil) {
-        dirty_.push_back(static_cast<std::uint32_t>(b));
-        heads_[b] = i;
-      } else {
-        slab_[tails_[b]].next = i;
-      }
-      tails_[b] = i;
-    }
-
-    /// Minimum queued distance. Precondition: !empty().
-    Weight front_d() {
-      open_next_bucket_if_needed();
-      return std::bit_cast<Weight>(active_.front().key);
-    }
-
-    QueueItem pop() {
-      open_next_bucket_if_needed();
-      const Item top = heap_pop();
-      --live_;
-      return {std::bit_cast<Weight>(top.key), top.v};
-    }
-
-   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    struct Slot {
-      Weight d;
-      Vertex v;
-      std::uint32_t seq;   ///< global push stamp — the heap tie-break
-      std::uint32_t next;  ///< next slab index in this bucket's FIFO, or kNil
-    };  // 24 bytes (8-byte aligned)
-
-    struct Item {
-      std::uint64_t key;  ///< distance as raw bits (order-preserving for >= 0)
-      Vertex v;
-      std::uint32_t seq;
-    };
-
-    static bool less(const Item& a, const Item& b) {
-      return a.key < b.key || (a.key == b.key && a.seq < b.seq);
-    }
-
-    /// If the settle heap is drained, advances the cursor to the next
-    /// non-empty bucket and moves its FIFO chain into the heap. While a
-    /// bucket is open its flat slot stays empty (in-window pushes go to the
-    /// heap), so the scan never revisits it. Precondition: !empty().
-    void open_next_bucket_if_needed() {
-      if (!active_.empty()) return;
-      while (heads_[cur_b_] == kNil) {
-        ++cur_ab_;
-        if (++cur_b_ == width_) cur_b_ = 0;
-      }
-      for (std::uint32_t i = heads_[cur_b_]; i != kNil;) {
-        const Slot& s = slab_[i];
-        heap_push({std::bit_cast<std::uint64_t>(s.d), s.v, s.seq});
-        i = s.next;
-      }
-      heads_[cur_b_] = kNil;
-      tails_[cur_b_] = kNil;
-      open_ = true;
-    }
-
-    void heap_push(Item it) {
-      active_.push_back(it);
-      std::size_t i = active_.size() - 1;
-      while (i > 0) {
-        const std::size_t p = (i - 1) >> 1;
-        if (!less(active_[i], active_[p])) break;
-        std::swap(active_[p], active_[i]);
-        i = p;
-      }
-    }
-
-    Item heap_pop() {
-      const Item top = active_.front();
-      const Item last = active_.back();
-      active_.pop_back();
-      if (!active_.empty()) {
-        std::size_t i = 0;
-        const std::size_t n = active_.size();
-        for (;;) {
-          const std::size_t l = (i << 1) + 1;
-          if (l >= n) break;
-          std::size_t best = l;
-          if (l + 1 < n && less(active_[l + 1], active_[l])) best = l + 1;
-          if (!less(active_[best], last)) break;
-          active_[i] = active_[best];
-          i = best;
-        }
-        active_[i] = last;
-      }
-      return top;
-    }
-
-    std::vector<Slot> slab_;            ///< parked entries, in push order
-    std::vector<std::uint32_t> heads_;  ///< per-bucket FIFO head slab index
-    std::vector<std::uint32_t> tails_;  ///< per-bucket FIFO tail slab index
-    std::vector<std::uint32_t> dirty_;  ///< buckets made non-empty since clear
-    std::vector<Item> active_;          ///< settle heap over the open bucket
-    std::uint32_t shift_ = 0;           ///< log2(delta)
-    std::size_t width_ = 1;
-    std::uint64_t cur_ab_ = 0;  ///< absolute bucket cursor (key >> shift_)
-    std::size_t cur_b_ = 0;     ///< cur_ab_ % width_, maintained incrementally
-    std::size_t live_ = 0;
-    std::uint32_t seq_ = 0;     ///< per-run global push sequence
-    bool open_ = false;         ///< cursor bucket has been moved to the heap
   };
 
   template <class Q, class VisitArcs>
@@ -758,7 +608,6 @@ class DijkstraEngine {
   std::vector<EdgeId> via_;
   HeapQueue heap_;
   BucketQueue bucket_;
-  DeltaQueue delta_;
   SpQueue queue_ = SpQueue::kHeap;
   std::vector<Vertex> order_;
 

@@ -38,8 +38,6 @@ struct AlgoParams {
   std::size_t threads = 1;     ///< iteration fan-out width (bit-identical)
   std::uint64_t seed = 1;      ///< RNG seed (ignored by deterministic algos)
   SpEnginePolicy engine = SpEnginePolicy::kAuto;  ///< SP queue policy
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 struct AlgoResult {

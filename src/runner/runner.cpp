@@ -64,8 +64,6 @@ void validate_cell(const ScenarioSpec& spec, const Graph& g, const Graph& h,
     opt.threads = cell.threads;
     opt.engine =
         parse_engine_policy(spec.engine).value_or(SpEnginePolicy::kAuto);
-    opt.bucket_max =
-        spec.bucket_max != 0 ? spec.bucket_max : kMaxBucketWeight;
     const StretchOracle oracle(g, h, cell.k);
     for (std::size_t rep = 0; rep < spec.reps; ++rep) {
       Timer timer;
@@ -109,14 +107,11 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
       const WorkloadInstance instance = make_workload(spec.workload, wp);
       const Graph& g = instance.g;
 
-      // The base graph's weight profile: what engine=auto (and the bucket/
-      // delta downgrades) resolve against — reported per cell as
-      // engine_resolved.
+      // The base graph's weight profile: what engine=auto resolves
+      // against — reported per cell as engine_resolved.
       WeightProfile profile;
       for (EdgeId id = 0; id < g.num_edges(); ++id)
         profile.observe(g.edge(id).w);
-      const Weight bucket_max =
-          spec.bucket_max != 0 ? spec.bucket_max : kMaxBucketWeight;
 
       // One bound algorithm per instance: the k/r/threads sweep and every
       // timing repetition below share its pooled scratch.
@@ -148,9 +143,8 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
             // vocabulary).
             ap.engine = parse_engine_policy(spec.engine)
                             .value_or(SpEnginePolicy::kAuto);
-            ap.bucket_max = bucket_max;
             cell.engine_resolved = to_string(select_sp_queue(
-                ap.engine, profile.integral, profile.max_weight, bucket_max));
+                ap.engine, profile.integral, profile.max_weight));
 
             // Metrics come from the first repetition; later repetitions
             // redo identical work purely to take the best wall clock.
@@ -180,7 +174,6 @@ ScenarioReport run_scenarios(const std::vector<ScenarioSpec>& specs) {
               serve::QueryEngine::Options qo;
               qo.workers = threads;
               qo.engine = ap.engine;
-              qo.bucket_max = bucket_max;
               serve::LoadTestOptions lo;
               lo.qps = spec.qps;
               lo.conns = spec.conns;

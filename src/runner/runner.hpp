@@ -42,7 +42,7 @@ struct ScenarioCell {
   std::uint64_t edges_hash = 0;  ///< FNV-1a over the edge-id sequence
   /// The SP queue the spec's engine policy resolves to against the BASE
   /// graph's weight profile ("heap" | "bucket" | "delta"). Deterministic —
-  /// a function of (instance, engine, bucket_max) only — so it sits outside
+  /// a function of (instance, engine) only — so it sits outside
   /// the timings gate. (The spanner H resolves separately per graph; its
   /// profile can only be narrower.)
   std::string engine_resolved;

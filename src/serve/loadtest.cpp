@@ -151,14 +151,21 @@ class Client {
 };
 
 /// The query mix: ~60% plain distance, ~25% stretch, ~15% fault what-if
-/// (distance avoiding one or two random vertices). Entirely seed-driven.
+/// (distance avoiding one or two random vertices). Entirely seed-driven:
+/// the ids are drawn in a fixed order (t then s; avoid, t, s for a what-if)
+/// so a seed replays the same target sequence on every compiler.
 std::string random_target(Rng& rng, std::size_t n) {
   const auto v = [&] { return std::to_string(rng.uniform_index(n)); };
   const double roll = rng.uniform();
-  if (roll < 0.60) return "/distance?s=" + v() + "&t=" + v();
-  if (roll < 0.85) return "/stretch?s=" + v() + "&t=" + v();
-  std::string target = "/distance?s=" + v() + "&t=" + v() + "&avoid=" + v();
-  if (rng.bernoulli(0.5)) target += "," + v();
+  const bool what_if = roll >= 0.85;
+  const std::string avoid = what_if ? v() : std::string();
+  const std::string t = v();
+  const std::string s = v();
+  std::string target = roll < 0.60 || what_if ? "/distance" : "/stretch";
+  target.append("?s=").append(s).append("&t=").append(t);
+  if (!what_if) return target;
+  target.append("&avoid=").append(avoid);
+  if (rng.bernoulli(0.5)) target.append(",").append(v());
   return target;
 }
 

@@ -73,17 +73,16 @@ std::uint64_t ServeQuery::cache_key() const {
 /// the two dead-edge masks with touched-entry logs so resets are O(|F|),
 /// not O(m).
 struct QueryEngine::Scratch {
-  Scratch(const Csr& cg, const Csr& ch, SpEnginePolicy policy,
-          Weight bucket_max) {
+  Scratch(const Csr& cg, const Csr& ch, SpEnginePolicy policy) {
     dead_g.assign(cg.num_arcs() / 2, 0);
     dead_h.assign(ch.num_arcs() / 2, 0);
     faults = VertexSet(cg.num_vertices());
     eng_g.set_queue(select_sp_queue(policy, cg.weights().integral,
-                                    cg.weights().max_weight, bucket_max),
-                    cg.weights().max_weight, bucket_max);
+                                    cg.weights().max_weight),
+                    cg.weights().max_weight);
     eng_h.set_queue(select_sp_queue(policy, ch.weights().integral,
-                                    ch.weights().max_weight, bucket_max),
-                    ch.weights().max_weight, bucket_max);
+                                    ch.weights().max_weight),
+                    ch.weights().max_weight);
     eng_g.reserve(cg.num_vertices(), cg.num_arcs() + 1);
     eng_h.reserve(ch.num_vertices(), ch.num_arcs() + 1);
   }
@@ -114,8 +113,7 @@ QueryEngine::QueryEngine(const Graph& g, const std::vector<EdgeId>& spanner_edge
   options_.workers = resolve_threads(options_.workers);
   scratch_.reserve(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w)
-    scratch_.push_back(std::make_unique<Scratch>(cg_, ch_, options_.engine,
-                                                 options_.bucket_max));
+    scratch_.push_back(std::make_unique<Scratch>(cg_, ch_, options_.engine));
 }
 
 QueryEngine::QueryEngine(const Graph& g,

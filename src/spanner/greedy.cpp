@@ -25,10 +25,9 @@ GreedyContext::GreedyContext(const Graph& g) : graph(&g) {
 
 void GreedyWorkspace::configure_scratch(const WeightProfile& wp) {
   exact_sums_ = wp.exact_sums();
-  const SpQueue q =
-      select_sp_queue(policy_, wp.integral, wp.max_weight, bucket_max_);
-  eng_.set_queue(q, wp.max_weight, bucket_max_);
-  bwd_.set_queue(q, wp.max_weight, bucket_max_);
+  const SpQueue q = select_sp_queue(policy_, wp.integral, wp.max_weight);
+  eng_.set_queue(q, wp.max_weight);
+  bwd_.set_queue(q, wp.max_weight);
 }
 
 void GreedyWorkspace::reserve(std::size_t n, std::size_t max_edges) {

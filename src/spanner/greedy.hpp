@@ -76,15 +76,10 @@ class GreedyWorkspace {
   /// scratch edges, making even the first run allocation-free.
   void reserve(std::size_t n, std::size_t max_edges);
 
-  /// Engine policy for this workspace's searches; kAuto picks the bucket
-  /// queue on bounded-integer graphs up to bucket_max and delta-stepping
-  /// above it. Takes effect at the next configure_scratch (run() configures
-  /// from its context automatically).
-  void set_engine(SpEnginePolicy policy,
-                  Weight bucket_max = kMaxBucketWeight) {
-    policy_ = policy;
-    bucket_max_ = bucket_max;
-  }
+  /// Engine policy for this workspace's searches; kAuto picks the bucketed
+  /// queue on integer-weight graphs. Takes effect at the next
+  /// configure_scratch (run() configures from its context automatically).
+  void set_engine(SpEnginePolicy policy) { policy_ = policy; }
 
   /// Binds the workspace to a graph's hoisted weight profile: resolves the
   /// engine policy against it and enables the exact-sums fast path when
@@ -108,7 +103,6 @@ class GreedyWorkspace {
 
   DijkstraEngine eng_, bwd_;         ///< forward/exact engine + backward half
   SpEnginePolicy policy_ = SpEnginePolicy::kAuto;
-  Weight bucket_max_ = kMaxBucketWeight;
   bool exact_sums_ = false;          ///< from the profile; gates the tie window
   std::vector<std::uint32_t> head_;  ///< per-vertex first slot, or kNone
   std::vector<HalfArc> pool_;        ///< two slots per added edge

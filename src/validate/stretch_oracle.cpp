@@ -100,7 +100,7 @@ BasicStretchOracle<G>::BasicStretchOracle(const G& g, const G& h, double k)
 
 template <class G>
 typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
-    SpEnginePolicy policy, Weight bucket_max) const {
+    SpEnginePolicy policy) const {
   Scratch s;
   s.faults = VertexSet(g_->num_vertices());
   // Resolve the queue per graph side: G and H can differ (H is a subgraph,
@@ -109,12 +109,10 @@ typename BasicStretchOracle<G>::Scratch BasicStretchOracle<G>::make_scratch(
   // first fault set.
   const WeightProfile& wg = cg_.weights();
   const WeightProfile& wh = ch_.weights();
-  s.dg.set_queue(
-      select_sp_queue(policy, wg.integral, wg.max_weight, bucket_max),
-      wg.max_weight, bucket_max);
-  s.dh.set_queue(
-      select_sp_queue(policy, wh.integral, wh.max_weight, bucket_max),
-      wh.max_weight, bucket_max);
+  s.dg.set_queue(select_sp_queue(policy, wg.integral, wg.max_weight),
+                 wg.max_weight);
+  s.dh.set_queue(select_sp_queue(policy, wh.integral, wh.max_weight),
+                 wh.max_weight);
   s.dg.reserve(g_->num_vertices(), cg_.num_arcs() + 1);
   s.dh.reserve(h_->num_vertices(), ch_.num_arcs() + 1);
   return s;
@@ -176,12 +174,10 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   // Witnesses land in index-keyed slots, so scheduling stays invisible.
   std::vector<Witness> witnesses(count);
   const SpEnginePolicy engine = options.engine;
-  const Weight bucket_max = options.bucket_max;
   BurstPool pool(resolve_threads(options.threads, count),
-                 [this, &witnesses, &eval, engine,
-                  bucket_max](std::size_t) -> BurstTask {
-                   auto scratch = std::make_shared<Scratch>(
-                       make_scratch(engine, bucket_max));
+                 [this, &witnesses, &eval, engine](std::size_t) -> BurstTask {
+                   auto scratch =
+                       std::make_shared<Scratch>(make_scratch(engine));
                    return [&witnesses, &eval, scratch](std::size_t i) {
                      witnesses[i] = eval(i, *scratch);
                    };

@@ -62,10 +62,6 @@ struct FtCheckOptions {
   /// (graph/engine_policy.hpp); resolved per graph from the CSR snapshots'
   /// weight profiles. Never changes the FtCheckResult.
   SpEnginePolicy engine = SpEnginePolicy::kAuto;
-
-  /// Bucket/delta engine-resolution ceiling (graph/engine_policy.hpp).
-  /// Never changes the FtCheckResult.
-  Weight bucket_max = kMaxBucketWeight;
 };
 
 /// Number of fault sets of size <= r over n vertices (saturating).
@@ -112,8 +108,7 @@ class BasicStretchOracle {
     std::vector<Vertex> interior;
     VertexSet faults;
   };
-  Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto,
-                       Weight bucket_max = kMaxBucketWeight) const;
+  Scratch make_scratch(SpEnginePolicy policy = SpEnginePolicy::kAuto) const;
 
   /// Worst surviving-edge stretch under one fault set; (1.0, invalid,
   /// invalid) when no surviving edge exists. The witness pair is the first

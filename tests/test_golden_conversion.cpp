@@ -15,6 +15,7 @@
 
 #include "ftspanner/conversion.hpp"
 #include "ftspanner/edge_faults.hpp"
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph_file.hpp"
 #include "graph/import.hpp"
@@ -47,14 +48,14 @@ constexpr Golden kGolden[] = {
 
 TEST(GoldenConversion, FtGreedySpannerBitIdenticalAcrossRefactorAndThreads) {
   const Graph g = gnp(400, 0.05, 1234);
-  // The golden hashes must also survive every engine policy: the bucket
-  // queue's FIFO pop order — and the delta queue's (key, seq) settle-stamp
-  // order — are the stable heap's order, so heap, bucket, delta, and auto
-  // are all bit-identical on this unit-weight graph — at every thread count
-  // and burst geometry.
-  constexpr SpEnginePolicy kPolicies[] = {
-      SpEnginePolicy::kAuto, SpEnginePolicy::kHeap, SpEnginePolicy::kBucket,
-      SpEnginePolicy::kDelta};
+  // The golden hashes must also survive both engine policies: on this
+  // unit-weight graph kAuto resolves to the shift-0 bucketed queue, whose
+  // FIFO pop order is the stable heap's order, so heap and auto are
+  // bit-identical — at every thread count and burst geometry.
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 1.0),
+            SpQueue::kBucket);
+  constexpr SpEnginePolicy kPolicies[] = {SpEnginePolicy::kAuto,
+                                          SpEnginePolicy::kHeap};
   for (const Golden& want : kGolden) {
     std::vector<EdgeId> at_one_thread;
     for (const SpEnginePolicy engine : kPolicies)
@@ -108,14 +109,19 @@ void check_edge_goldens(const Graph& g, std::span<const Golden> want) {
   }
 }
 
-// ISSUE 10: engine=delta must reproduce engine=heap bit-for-bit — edge set,
+// In the mid-range regime engine=auto resolves to the bucketed queue at
+// shift > 0 ("delta") and must reproduce engine=heap bit-for-bit — edge set,
 // hash, AND the oracle's worst-stretch/witness bits — on every golden
-// instance class of the mid-range regime (uniform integer, tie-dense,
-// DIMACS-imported) at threads 1, 2, 4, and 8.
+// instance class (uniform integer, tie-dense, DIMACS-imported) at threads
+// 1, 2, 4, and 8.
 void check_delta_matches_heap(const Graph& g) {
+  const Csr csr(g);
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, csr.weights().integral,
+                            csr.weights().max_weight),
+            SpQueue::kDelta);
   std::vector<EdgeId> heap_edges;
   for (const SpEnginePolicy engine :
-       {SpEnginePolicy::kHeap, SpEnginePolicy::kDelta})
+       {SpEnginePolicy::kHeap, SpEnginePolicy::kAuto})
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       ConversionOptions opt;
       opt.threads = threads;
@@ -135,7 +141,7 @@ void check_delta_matches_heap(const Graph& g) {
   const StretchOracle oracle(g, h, 3.0);
   FtCheckOptions heap_opt, delta_opt;
   heap_opt.engine = SpEnginePolicy::kHeap;
-  delta_opt.engine = SpEnginePolicy::kDelta;
+  delta_opt.engine = SpEnginePolicy::kAuto;
   const FtCheckResult a = oracle.check_sampled(2, 6, 4, 77, heap_opt);
   const FtCheckResult b = oracle.check_sampled(2, 6, 4, 77, delta_opt);
   EXPECT_EQ(a.valid, b.valid);

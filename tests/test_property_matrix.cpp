@@ -67,6 +67,7 @@ TEST(PropertyMatrix, BucketEngineMatchesHeapAcrossAllWorkloads) {
     DijkstraEngine heap, bucket;
     heap.set_queue(SpQueue::kHeap);
     bucket.set_queue(SpQueue::kBucket, wp.max_weight);
+    ASSERT_EQ(bucket.queue(), SpQueue::kBucket);
     const std::size_t n = csr.num_vertices();
     const std::size_t stride = std::max<std::size_t>(1, n / 12);
     for (Vertex s = 0; s < n; s += static_cast<Vertex>(stride)) {
@@ -89,11 +90,11 @@ TEST(PropertyMatrix, BucketEngineMatchesHeapAcrossAllWorkloads) {
   EXPECT_GE(integral_cells, 3u);
 }
 
-// The delta-stepping cell (ISSUE 10): every registered workload family,
-// reweighted into the mid-range integer regime through the max_weight=
-// workload knob, must reproduce the stable heap bit-for-bit under
-// engine=delta — distances, parents, vias, and the settle order — and kAuto
-// must resolve the regime to delta (integral, max above the bucket wall).
+// The mid-range cell: every registered workload family, reweighted into the
+// mid-range integer regime through the max_weight= workload knob, must
+// resolve kAuto to the bucketed queue at shift > 0 ("delta": integral, max
+// above the Dial ceiling) and reproduce the stable heap bit-for-bit there —
+// distances, parents, vias, and the settle order.
 TEST(PropertyMatrix, DeltaEngineMatchesHeapAcrossAllWorkloads) {
   constexpr Weight kMidRangeMax = 100000;
   std::size_t cells = 0;
@@ -132,6 +133,7 @@ TEST(PropertyMatrix, DeltaEngineMatchesHeapAcrossAllWorkloads) {
     DijkstraEngine heap, delta;
     heap.set_queue(SpQueue::kHeap);
     delta.set_queue(SpQueue::kDelta, prof.max_weight);
+    ASSERT_EQ(delta.queue(), SpQueue::kDelta);
     const std::size_t n = csr.num_vertices();
     const std::size_t stride = std::max<std::size_t>(1, n / 12);
     for (Vertex s = 0; s < n; s += static_cast<Vertex>(stride)) {

@@ -105,19 +105,13 @@ TEST(ScenarioSpecTest, ParseToStringRoundTripsByteIdentically) {
       "validate=none",
       // engine prints between threads and reps; engine=auto is the
       // default and must stay invisible (first case above).
-      "workload=gnp wseed=1 algo=ft_vertex k=3 r=2 seed=1 threads=2 "
-      "engine=bucket reps=1 validate=none",
       "workload=gnp wseed=1 algo=greedy k=3 r=0 seed=1 threads=1 "
       "engine=heap reps=1 validate=none",
-      // max_weight prints after scale and bucket_max after engine; both
-      // stay invisible at their defaults (every case above). format_double
-      // prints 100000 in its shortest round-trip form "1e+05" — that IS the
-      // canonical spelling.
+      // max_weight prints after scale and stays invisible at its default
+      // (every case above). format_double prints 100000 in its shortest
+      // round-trip form "1e+05" — that IS the canonical spelling.
       "workload=gnp n=64 max_weight=1e+05 wseed=1 algo=greedy k=3 r=0 "
-      "seed=1 threads=1 engine=delta bucket_max=8192 reps=1 "
-      "validate=none",
-      "workload=gnp wseed=1 algo=ft_vertex k=3 r=1 seed=1 threads=2 "
-      "bucket_max=1048576 reps=1 validate=none",
+      "seed=1 threads=1 engine=heap reps=1 validate=none",
   };
   for (const char* text : cases) {
     const ScenarioSpec spec = ScenarioSpec::parse(text);
@@ -149,6 +143,12 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
   EXPECT_THROW(ScenarioSpec::parse("timings=sometimes"),
                std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("engine=quantum"), std::invalid_argument);
+  // The policy vocabulary is auto|heap: the bucketed queue and its shift
+  // are resolved from the weights, so bucket/delta requests and the
+  // bucket_max ceiling are gone.
+  EXPECT_THROW(ScenarioSpec::parse("engine=bucket"), std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::parse("engine=delta"), std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::parse("bucket_max=8192"), std::invalid_argument);
   // The burst width is computed from the run and lanes are never pinned:
   // batch= and pin= are not keys.
   EXPECT_THROW(ScenarioSpec::parse("batch=32"), std::invalid_argument);
@@ -161,7 +161,6 @@ TEST(ScenarioSpecTest, RejectsUnknownKeysAndBadValues) {
     EXPECT_NE(std::string(e.what()).find("chaos"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("reload_every"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("max_weight"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("bucket_max"), std::string::npos);
   }
 }
 
@@ -177,11 +176,8 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
       "conns=0",      "duration=-1", "duration=nan", "duration=inf",
       "chaos=1.5",    "chaos=-0.1",  "chaos=nan",    "chaos=inf",
       "reload_every=-1",
-      // ISSUE 10 knobs: max_weight must be a whole number >= 1 (or the
-      // 0 default); bucket_max is range-checked against kBucketMaxCeiling.
+      // max_weight must be a whole number >= 1 (or the 0 default).
       "max_weight=-1", "max_weight=0.5", "max_weight=nan", "max_weight=inf",
-      "bucket_max=-1", "bucket_max=0.5", "bucket_max=nan", "bucket_max=inf",
-      "bucket_max=1048577",
   };
   for (const char* text : bad) {
     const std::string key(text, std::strchr(text, '=') - text);
@@ -206,9 +202,6 @@ TEST(ScenarioSpecTest, RejectsOutOfRangeNumericValues) {
   EXPECT_EQ(ScenarioSpec::parse("reload_every=0").reload_every, 0u);
   EXPECT_EQ(ScenarioSpec::parse("max_weight=0").max_weight, 0.0);
   EXPECT_EQ(ScenarioSpec::parse("max_weight=1").max_weight, 1.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=0").bucket_max, 0.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=1").bucket_max, 1.0);
-  EXPECT_EQ(ScenarioSpec::parse("bucket_max=1048576").bucket_max, 1048576.0);
 }
 
 TEST(ScenarioSpecTest, RejectsWhitespaceInPath) {

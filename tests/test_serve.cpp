@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
 #include "ftspanner/conversion.hpp"
@@ -484,6 +485,10 @@ TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
     reweighted.push_back(e);
   }
   const Graph g = Graph::from_edges(base.num_vertices(), reweighted);
+  const Csr csr(g);
+  ASSERT_EQ(select_sp_queue(SpEnginePolicy::kAuto, csr.weights().integral,
+                            csr.weights().max_weight),
+            SpQueue::kDelta);
   std::vector<EdgeId> kept;
   for (EdgeId id = 0; id < g.num_edges(); ++id)
     if (id % 3 != 0) kept.push_back(id);
@@ -508,7 +513,7 @@ TEST(QueryEngine, EngineChoiceNeverChangesServedAnswersOnMidRangeWeights) {
 
   std::vector<std::vector<ServeAnswer>> results;
   for (const SpEnginePolicy engine :
-       {SpEnginePolicy::kHeap, SpEnginePolicy::kDelta, SpEnginePolicy::kAuto})
+       {SpEnginePolicy::kHeap, SpEnginePolicy::kAuto})
     for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
       serve::QueryEngine::Options opt;
       opt.workers = workers;

@@ -169,8 +169,8 @@ TEST(DijkstraEngine, EpochRolloverKeepsResultsCorrect) {
 }
 
 // An integer-weight random graph (weights 1..max_w). With the default
-// max_w = 12 this is the domain where kAuto switches to the bucket queue;
-// with max_w above kMaxBucketWeight it is the delta queue's mid-range.
+// max_w = 12 the bucketed queue runs at shift 0 (Dial); with max_w above
+// kMaxBucketWeight it runs at shift > 0 (the "delta" mid-range).
 Graph integer_test_graph(std::size_t n, double p, std::uint64_t seed,
                          std::int64_t max_w = 12) {
   Graph g = gnp(n, p, seed);
@@ -252,9 +252,10 @@ TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnBucketQueue) {
   }
 }
 
-// The delta queue on mid-range weights (1..10^5, above the Dial ceiling):
-// distances, parents, vias, AND the settle order must match the stable heap
-// bit for bit — the same contract the bucket queue carries below the ceiling.
+// The bucketed queue on mid-range weights (1..10^5, above the Dial ceiling,
+// so shift 5 and a heap-ordered open bucket): distances, parents, vias, AND
+// the settle order must match the stable heap bit for bit — the same
+// contract the shift-0 FIFO carries below the ceiling.
 TEST(DijkstraEngine, DeltaQueueMatchesHeapBitForBitOnMidRangeWeights) {
   const Graph g = integer_test_graph(90, 0.08, 21, 100000);
   const Csr csr(g);
@@ -355,33 +356,32 @@ TEST(DijkstraEngine, BidirectionalBoundedPairWorksOnDeltaQueue) {
   }
 }
 
-// An explicit delta request must also be exact on *small* integer weights
-// (delta = 1: every bucket holds one key, the settle heap is pure FIFO).
-TEST(DijkstraEngine, DeltaQueueMatchesHeapOnSmallIntegerWeights) {
-  const Graph g = integer_test_graph(90, 0.08, 21);
-  const Csr csr(g);
-  DijkstraEngine heap, delta;
-  heap.set_queue(SpQueue::kHeap);
-  delta.set_queue(SpQueue::kDelta, csr.weights().max_weight);
-  for (Vertex s = 0; s < g.num_vertices(); s += 9) {
-    heap.run(csr, s);
-    delta.run(csr, s);
-    const auto ho = heap.settle_order();
-    const auto dl = delta.settle_order();
-    ASSERT_EQ(ho.size(), dl.size()) << "s=" << s;
-    for (std::size_t i = 0; i < ho.size(); ++i)
-      ASSERT_EQ(ho[i], dl[i]) << "s=" << s << " i=" << i;
-  }
-}
-
 TEST(DijkstraEngine, TuneDeltaFollowsTheBucketBudgetRule) {
-  // delta = smallest power of two with max_weight / delta <= bucket_max.
+  // delta = smallest power of two with max_weight / delta <= kMaxBucketWeight.
   EXPECT_EQ(tune_delta(100.0), 1.0);
   EXPECT_EQ(tune_delta(4096.0), 1.0);
+  EXPECT_EQ(tune_delta(4097.0), 2.0);
   EXPECT_EQ(tune_delta(100000.0), 32.0);
   EXPECT_EQ(tune_delta(1000000.0), 256.0);
-  EXPECT_EQ(tune_delta(100000.0, 1024.0), 128.0);
   EXPECT_EQ(tune_delta(0.0), 1.0);
+}
+
+// The resolved label follows the bucket width: shift 0 is the Dial queue
+// (kBucket), any wider bucket the heap-windowed one (kDelta) — whichever
+// bucketed label was asked for.
+TEST(DijkstraEngine, SetQueueLabelsTheBucketShift) {
+  DijkstraEngine eng;
+  EXPECT_EQ(eng.queue(), SpQueue::kHeap);
+  for (const SpQueue q : {SpQueue::kBucket, SpQueue::kDelta}) {
+    eng.set_queue(q, 12.0);
+    EXPECT_EQ(eng.queue(), SpQueue::kBucket);
+    eng.set_queue(q, static_cast<Weight>(kMaxBucketWeight));
+    EXPECT_EQ(eng.queue(), SpQueue::kBucket);
+    eng.set_queue(q, static_cast<Weight>(kMaxBucketWeight) + 1);
+    EXPECT_EQ(eng.queue(), SpQueue::kDelta);
+  }
+  eng.set_queue(SpQueue::kHeap, 100000.0);
+  EXPECT_EQ(eng.queue(), SpQueue::kHeap);
 }
 
 TEST(DijkstraEngine, AutoPolicySelectsBucketOnlyForBoundedIntegerWeights) {
@@ -397,23 +397,11 @@ TEST(DijkstraEngine, AutoPolicySelectsBucketOnlyForBoundedIntegerWeights) {
   EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, false,
                             static_cast<Weight>(kMaxBucketWeight) + 1),
             SpQueue::kHeap);
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 100000.0),
+            SpQueue::kDelta);
+  // kHeap forces the heap on every weight profile.
   EXPECT_EQ(select_sp_queue(SpEnginePolicy::kHeap, true, 1.0), SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, true, 1.0),
-            SpQueue::kBucket);
-  // An explicit bucket/delta request is downgraded on fractional weights — a
-  // label-setting bucket structure would be incorrect there.
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, false, 1.0),
-            SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, false, 1.0),
-            SpQueue::kHeap);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kDelta, true, 100000.0),
-            SpQueue::kDelta);
-  // The bucket_max knob moves the bucket/delta frontier in both directions.
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 100000.0, 100000.0),
-            SpQueue::kBucket);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kAuto, true, 100.0, 64.0),
-            SpQueue::kDelta);
-  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kBucket, true, 100.0, 64.0),
+  EXPECT_EQ(select_sp_queue(SpEnginePolicy::kHeap, true, 100000.0),
             SpQueue::kHeap);
 }
 

@@ -20,6 +20,7 @@
 // `--threads T` fans the conversion's sampling iterations across T worker
 // threads (0 = all hardware threads); the output edge set is bit-identical
 // to --threads 1 for the same seed (see src/ftspanner/parallel.hpp).
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -56,6 +58,11 @@ using namespace ftspan;
 
 namespace {
 
+/// A malformed command line; main() reports it with exit status 2.
+struct UsageError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --key value / -k value
@@ -64,9 +71,18 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? dflt : it->second;
   }
+  /// A numeric flag: the whole value must parse as a finite number, so
+  /// `--threads abc` or `-k 3x` is a usage error rather than 0 or 3.
   double num(const std::string& name, double dflt) const {
     const auto it = options.find(name);
-    return it == options.end() ? dflt : std::strtod(it->second.c_str(), nullptr);
+    if (it == options.end()) return dflt;
+    const char* text = it->second.c_str();
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v))
+      throw UsageError("--" + name + " expects a number, got '" +
+                       it->second + "'");
+    return v;
   }
 };
 
@@ -745,6 +761,9 @@ int main(int argc, char** argv) {
     if (cmd == "serve") return cmd_serve(a);
     if (cmd == "version") return cmd_version();
     if (cmd == "selftest") return cmd_selftest();
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
