@@ -9,9 +9,9 @@ std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
                                    const IterationBodyFactory& factory) {
   const std::size_t workers = resolve_threads(threads, iterations);
 
-  // Per-worker mark buffers: the pool guarantees worker w's task runs only
-  // on worker w's thread, so buffers[w] needs no synchronization beyond the
-  // pool's own completion hand-off.
+  // Per-worker mark buffers: the pool only ever calls worker w's task from
+  // lane w, one call at a time, so buffers[w] needs no synchronization
+  // beyond the pool's own check-out at the end of the run.
   std::vector<std::vector<char>> buffers(workers,
                                          std::vector<char>(num_edges, 0));
   BurstPool pool(workers, [&buffers, &factory](std::size_t w) -> BurstTask {

@@ -34,8 +34,8 @@ using IterationBody =
     std::function<void(std::size_t it, std::vector<char>& marks)>;
 
 /// Creates the iteration body a single worker will call sequentially. Invoked
-/// once per worker, from that worker's thread, so the body may own mutable
-/// per-worker scratch (pooled Dijkstra engines, greedy workspaces, fault-set
+/// once per worker (worker 0's on the calling thread, the others' on their
+/// own lane threads), so the body may own mutable per-worker scratch (pooled Dijkstra engines, greedy workspaces, fault-set
 /// buffers) without any synchronization. The factory itself is called
 /// concurrently from different workers and must be safe to do so — in
 /// practice it only reads shared immutable context and constructs fresh
@@ -45,11 +45,11 @@ using IterationBodyFactory = std::function<IterationBody(std::size_t worker)>;
 
 /// Runs `iterations` bodies across resolve_threads(threads, iterations)
 /// workers and returns the OR-union of their marks — a buffer of
-/// `num_edges` chars. Iterations travel to the workers in bursts through a
-/// BurstPool, so the shared-line hand-off cost is paid once per burst, not
-/// once per iteration; each worker owns a private mark buffer, so the hot
-/// loop is write-contention-free. Rethrows the first exception an iteration
-/// raised.
+/// `num_edges` chars. Workers claim iterations in bursts from a BurstPool's
+/// shared cursor, so the shared-line hand-off cost is paid once per burst,
+/// not once per iteration, and the calling thread runs worker 0; each worker
+/// owns a private mark buffer, so the hot loop is write-contention-free.
+/// Rethrows the exception of the lowest-numbered iteration that raised one.
 std::vector<char> union_iterations(std::size_t iterations, std::size_t threads,
                                    std::size_t num_edges,
                                    const IterationBodyFactory& factory);

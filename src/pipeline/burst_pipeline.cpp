@@ -1,31 +1,8 @@
 #include "pipeline/burst_pipeline.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
-
-#include "util/spsc_ring.hpp"
 
 namespace ftspan {
-
-namespace {
-
-/// A half-open index range; the unit that travels through a worker's ring.
-struct Burst {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-/// Bursts in flight per worker: deep enough to absorb skewed burst costs,
-/// small enough that the coordinator never runs far ahead of a slow lane.
-constexpr std::size_t kRingCapacity = 64;
-
-}  // namespace
 
 std::size_t hardware_threads() {
   const unsigned hc = std::thread::hardware_concurrency();
@@ -38,147 +15,107 @@ std::size_t resolve_threads(std::size_t requested, std::size_t tasks) {
   return std::clamp<std::size_t>(t, 1, kMaxWorkers);
 }
 
-std::size_t burst_width(std::size_t count, std::size_t workers) {
-  const std::size_t w = std::max<std::size_t>(workers, 1);
-  return std::min(kDefaultBurst, (count + w - 1) / w);
-}
-
-/// Everything one worker owns. Rings are per-worker (SPSC: coordinator
-/// produces, the worker consumes). The mutex/cv pair only matters while the
-/// lane is idle: a worker with a non-empty ring never touches it, so the
-/// in-flight hand-off cost stays one acquire/release pair per burst.
-struct BurstPool::Lane {
-  /// Builds the lane's task; a throwing factory poisons the lane for good.
-  void build(const BurstTaskFactory& factory, std::size_t w) {
-    try {
-      task = factory(w);
-    } catch (...) {
-      error = std::current_exception();
-      factory_failed = true;
-    }
+BurstPool::BurstPool(std::size_t workers, const BurstTaskFactory& factory)
+    : lanes_(std::clamp<std::size_t>(workers, 1, kMaxWorkers)) {
+  pending_ = lanes_.size() - 1;
+  threads_.reserve(pending_);
+  for (std::size_t w = 1; w < lanes_.size(); ++w)
+    threads_.emplace_back([this, &factory, w] { helper(w, factory); });
+  try {
+    lanes_[0].task = factory(0);
+  } catch (...) {
+    lanes_[0].error = std::current_exception();
   }
-
-  SpscRing<Burst> ring{kRingCapacity};
-  std::mutex m;
-  std::condition_variable cv;
-  bool stop = false;         ///< guarded by m
-  BurstTask task;            ///< touched only by the lane's own thread
-  std::exception_ptr error;  ///< worker-written; read/cleared between runs
-  bool factory_failed = false;  ///< permanent: the lane never got a task
-};
-
-/// Run-completion rendezvous: workers count finished bursts, the
-/// coordinator sleeps until the count reaches the run's burst total.
-struct BurstPool::Completion {
-  std::atomic<std::size_t> bursts{0};
-  std::mutex m;
-  std::condition_variable cv;
-};
-
-BurstPool::BurstPool(std::size_t workers, BurstTaskFactory factory) {
-  const std::size_t n = std::clamp<std::size_t>(workers, 1, kMaxWorkers);
-  lanes_.reserve(n);
-  for (std::size_t w = 0; w < n; ++w)
-    lanes_.push_back(std::make_unique<Lane>());
-  done_ = std::make_unique<Completion>();
-  if (n == 1) {
-    lanes_[0]->build(factory, 0);
-    return;
-  }
-
-  threads_.reserve(n);
-  for (std::size_t w = 0; w < n; ++w) {
-    Lane* lane = lanes_[w].get();
-    Completion* done = done_.get();
-    threads_.emplace_back([lane, done, factory, w] {
-      lane->build(factory, w);
-      Burst b;
-      for (;;) {
-        if (lane->ring.try_pop(b)) {
-          // After a failure keep draining without running: the coordinator
-          // may be spinning on this ring being full, so the feed must keep
-          // moving even though its results are abandoned.
-          if (lane->error == nullptr) {
-            try {
-              for (std::size_t i = b.begin; i < b.end; ++i) lane->task(i);
-            } catch (...) {
-              lane->error = std::current_exception();
-            }
-          }
-          done->bursts.fetch_add(1, std::memory_order_release);
-          {
-            std::lock_guard<std::mutex> l(done->m);
-          }
-          done->cv.notify_one();
-          continue;
-        }
-        std::unique_lock<std::mutex> l(lane->m);
-        if (!lane->ring.empty()) continue;  // pushed while we took the lock
-        if (lane->stop) break;
-        lane->cv.wait(l);
-      }
-    });
-  }
+  // Helpers reference `factory` until they check in, so wait for them.
+  std::unique_lock<std::mutex> l(m_);
+  idle_.wait(l, [this] { return pending_ == 0; });
+  for (Lane& lane : lanes_)
+    if (poison_ == nullptr) poison_ = lane.error;
 }
 
 BurstPool::~BurstPool() {
-  for (auto& lane : lanes_) {
-    {
-      std::lock_guard<std::mutex> l(lane->m);
-      lane->stop = true;
-    }
-    lane->cv.notify_one();
+  {
+    std::lock_guard<std::mutex> l(m_);
+    stop_ = true;
   }
+  wake_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void BurstPool::feed(Lane& lane, std::size_t begin, std::size_t end) {
-  const Burst b{begin, end};
-  while (!lane.ring.try_push(b)) std::this_thread::yield();
-  // The empty critical section orders the push before the worker's
-  // ring-empty recheck under the same mutex, so the notify cannot be lost.
-  {
-    std::lock_guard<std::mutex> l(lane.m);
+void BurstPool::helper(std::size_t w, const BurstTaskFactory& factory) {
+  Lane& lane = lanes_[w];
+  try {
+    lane.task = factory(w);
+  } catch (...) {
+    lane.error = std::current_exception();
   }
-  lane.cv.notify_one();
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> l(m_);
+  for (;;) {
+    if (--pending_ == 0) idle_.notify_one();
+    wake_.wait(l, [this, seen] { return stop_ || generation_ != seen; });
+    if (stop_) return;
+    seen = generation_;
+    const std::size_t count = count_;
+    l.unlock();
+    claim(lane, count);
+    l.lock();
+  }
+}
+
+void BurstPool::claim(Lane& lane, std::size_t count) {
+  const std::size_t span = 2 * lanes_.size();
+  std::size_t begin = cursor_.load();
+  while (begin < count) {
+    const std::size_t width =
+        std::min(kDefaultBurst, (count - begin + span - 1) / span);
+    if (!cursor_.compare_exchange_weak(begin, begin + width)) continue;
+    for (std::size_t i = begin; i < begin + width; ++i) {
+      // The cursor only grows, so every later claim is above a failure too.
+      if (i > failed_.load()) return;
+      try {
+        lane.task(i);
+      } catch (...) {
+        lane.error = std::current_exception();
+        lane.failed_at = i;
+        std::size_t low = failed_.load();
+        while (i < low && !failed_.compare_exchange_weak(low, i)) {
+        }
+        return;
+      }
+    }
+    begin = cursor_.load();
+  }
 }
 
 void BurstPool::run(std::size_t count) {
   if (count == 0) return;
-  if (threads_.empty()) {
-    Lane& lane = *lanes_[0];
-    if (lane.error != nullptr) std::rethrow_exception(lane.error);
-    for (std::size_t i = 0; i < count; ++i) lane.task(i);
-    return;
-  }
-
-  const std::size_t width = burst_width(count, lanes_.size());
-  const std::size_t total = (count + width - 1) / width;
-  done_->bursts.store(0, std::memory_order_relaxed);
-
-  // Round-robin distribution: burst b -> worker b % workers, in order. With
-  // equal-cost bursts this is exactly the static block-cyclic schedule; with
-  // skewed costs the ring depth (bursts in flight) absorbs the imbalance.
-  std::size_t next_worker = 0;
-  for (std::size_t begin = 0; begin < count; begin += width) {
-    feed(*lanes_[next_worker], begin, std::min(begin + width, count));
-    next_worker = next_worker + 1 == lanes_.size() ? 0 : next_worker + 1;
-  }
-
+  if (poison_ != nullptr) std::rethrow_exception(poison_);
   {
-    std::unique_lock<std::mutex> l(done_->m);
-    done_->cv.wait(l, [this, total] {
-      return done_->bursts.load(std::memory_order_acquire) == total;
-    });
+    std::lock_guard<std::mutex> l(m_);
+    cursor_ = 0;
+    failed_ = count;
+    count_ = count;
+    pending_ = lanes_.size() - 1;
+    ++generation_;
+  }
+  wake_.notify_all();
+  claim(lanes_[0], count);
+  {
+    std::unique_lock<std::mutex> l(m_);
+    idle_.wait(l, [this] { return pending_ == 0; });
   }
 
-  // First error by worker index, so the rethrown exception is deterministic.
-  // Task errors are cleared so the pool stays usable; a lane whose factory
-  // threw never got a task, so its error is permanent.
+  // The lowest failing index wins, whichever lane ran it; every lane's
+  // error is cleared so the pool stays usable.
   std::exception_ptr first;
-  for (auto& lane : lanes_) {
-    if (lane->error != nullptr && first == nullptr) first = lane->error;
-    if (!lane->factory_failed) lane->error = nullptr;
+  std::size_t first_at = count;
+  for (Lane& lane : lanes_) {
+    if (lane.error != nullptr && lane.failed_at < first_at) {
+      first = lane.error;
+      first_at = lane.failed_at;
+    }
+    lane.error = nullptr;
   }
   if (first != nullptr) std::rethrow_exception(first);
 }

@@ -2,38 +2,32 @@
 //
 // The repo's hot fan-outs (conversion sampling iterations, StretchOracle
 // fault-set checks, the serve daemon's cache misses) are index loops
-// 0..count whose bodies run on per-worker pooled state. BurstPool applies
-// the dataplane shape to them (per-core workers, SPSC rings, burst
-// processing — the ndn-dpdk idiom):
+// 0..count whose bodies run on per-lane pooled state, and whose results are
+// keyed by index. So which lane runs an index never reaches an output, and
+// BurstPool schedules them the classic way: every lane claims its next
+// burst of indices from one shared cursor (guided self-scheduling,
+// Polychronopoulos–Kuck 1987). A lane stuck behind a costly index holds only
+// the burst it claimed; the others drain the rest of the run.
 //
-//   - the coordinator slices 0..count into bursts and round-robins them
-//     into one SpscRing per worker (single producer: the coordinator;
-//     single consumer: the worker — no shared ring, no CAS anywhere);
-//   - each worker drains its own ring and runs whole bursts against its
-//     own state (engines, scratch graphs), so the shared-line traffic is
-//     one acquire/release pair per burst instead of per task;
-//   - distribution is deterministic (burst b → worker b % workers), which
-//     keeps "which worker ran which index" reproducible, though callers must
-//     not depend on it — output determinism comes from index-keyed results.
-//
-// Exceptions: a worker that throws records the first exception and discards
-// the rest of its feed (it keeps draining so the coordinator never blocks on
-// a full ring); the coordinator rethrows the lowest-indexed worker's
-// exception after the run completes.
+// The caller of run() is lane 0 and claims alongside the helper lanes, so a
+// pool of w lanes spawns w - 1 threads and a one-lane pool spawns none.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 namespace ftspan {
 
-/// Upper bound on indices per burst. Large enough to amortize the ring
-/// hand-off; a run too short to give every worker a full burst is cut into
-/// narrower ones instead (burst_width), so no lane sits idle while another
-/// holds the whole run.
+/// Upper bound on indices per claim. Large enough to amortize the cursor
+/// hand-off; claims narrow to ceil(remaining / (2 * lanes)) below that, so
+/// a short run, or the tail of a long one, reaches every lane.
 inline constexpr std::size_t kDefaultBurst = 16;
 
 /// Sanity ceiling on worker count, not a tuning knob: far above any
@@ -52,69 +46,81 @@ std::size_t hardware_threads();
 std::size_t resolve_threads(std::size_t requested,
                             std::size_t tasks = kMaxWorkers);
 
-/// Indices per burst for a run of `count` over `workers` lanes:
-/// min(kDefaultBurst, ceil(count / workers)). Never changes an output — it
-/// only decides which lane runs which index.
-std::size_t burst_width(std::size_t count, std::size_t workers);
-
-/// Runs one index of the fan-out. Invoked on the owning worker's thread.
+/// Runs one index of the fan-out, on the lane that claimed it.
 using BurstTask = std::function<void(std::size_t)>;
 
-/// Creates the task for worker `w`; called on worker w's own thread, so
-/// per-worker state (engines, scratch) is constructed where it runs.
+/// Creates the task for lane `w`: lane 0's on the constructing thread, every
+/// other lane's on that lane's own thread, so per-lane state (engines,
+/// scratch) is built where it mostly runs. Called concurrently across lanes.
 using BurstTaskFactory = std::function<BurstTask(std::size_t worker)>;
 
-/// A fixed set of worker lanes kept alive across run() calls: workers block
-/// on a per-lane condition variable while idle (no spinning between runs)
-/// and drain their SPSC ring while a run is in flight. With one worker the
-/// pool spawns no thread at all: the factory runs in the constructor and
-/// run() is a plain loop on the caller's thread.
+/// A fixed set of lanes kept alive across run() calls. Helper lanes sleep
+/// on a condition variable between runs (no spinning).
 ///
 /// Contracts:
-///   - the factory runs once per worker, on that worker's own thread (the
-///     caller's, for a one-worker pool);
-///   - distribution is deterministic (burst b -> worker b % workers);
-///   - a worker that throws abandons the rest of its feed but keeps
-///     draining, and run() rethrows the lowest-indexed worker's exception
-///     (after which the pool is usable again — the error slot is cleared).
+///   - the factory runs once per lane, and lane w's task is only ever
+///     called by lane w (one call at a time);
+///   - which lane runs which index is up to timing — callers key results
+///     by index;
+///   - a task that throws ends the run with the exception of the lowest
+///     failing index: after a failure lanes skip only indices above the
+///     lowest failure seen so far, so every lower index still runs. The
+///     pool is usable again afterwards;
+///   - a factory that throws poisons the pool: every run() with work
+///     rethrows it (the lowest such lane's) before running any index.
 ///
-/// One coordinator thread at a time: run() calls must not overlap.
+/// One caller at a time: run() calls must not overlap.
 ///
-/// Teardown contract: run() returns (or throws) only after every burst of
-/// that run has been popped and counted, so the destructor never races
-/// in-flight feed — it merely flips each lane's stop flag and joins workers
-/// that are either idle or finishing their last completion hand-off. The
+/// Teardown contract: run() returns (or throws) only after every helper
+/// lane has checked out of that run, so the destructor never races work in
+/// flight — it wakes idle helpers with the stop flag and joins them. The
 /// pool may therefore be destroyed immediately after run() returns, after
 /// run() threw, without ever calling run(), and from a different thread
 /// than the one that ran it (the epoch-teardown shape: the last owner of a
 /// retired engine drops it from whichever thread held the final reference).
 class BurstPool {
  public:
-  /// Stands up `workers` lanes (0 is taken as 1; capped at kMaxWorkers).
-  /// The factory is invoked on each worker thread before its first burst —
-  /// or here, on the caller's thread, for a single-worker pool. A factory
-  /// that throws poisons its lane: the lane's bursts are drained unrun and
-  /// every run() rethrows.
-  BurstPool(std::size_t workers, BurstTaskFactory factory);
-  ~BurstPool();  ///< joins all workers
+  /// Stands up `workers` lanes (0 is taken as 1; capped at kMaxWorkers) and
+  /// returns once every lane's factory has run.
+  BurstPool(std::size_t workers, const BurstTaskFactory& factory);
+  ~BurstPool();  ///< joins all helper lanes
 
   BurstPool(const BurstPool&) = delete;
   BurstPool& operator=(const BurstPool&) = delete;
 
   std::size_t workers() const { return lanes_.size(); }
 
-  /// Runs task(i) for every i in [0, count), burst_width(count, workers())
-  /// indices per hand-off. Blocks until every burst has been processed.
+  /// Runs task(i) for every i in [0, count) on the caller and the helper
+  /// lanes. Blocks until every helper has checked out of the run.
   void run(std::size_t count);
 
  private:
-  struct Lane;
-  struct Completion;
-  void feed(Lane& lane, std::size_t begin, std::size_t end);
+  struct Lane {
+    BurstTask task;
+    std::exception_ptr error;  ///< the lane's failure in the current run
+    std::size_t failed_at = 0;
+  };
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
-  std::unique_ptr<Completion> done_;
-  std::vector<std::thread> threads_;  ///< empty for a single-worker pool
+  void helper(std::size_t w, const BurstTaskFactory& factory);
+  /// Claims bursts for `lane` until the run is exhausted or every index
+  /// left is above a failure.
+  void claim(Lane& lane, std::size_t count);
+
+  std::vector<Lane> lanes_;
+  std::exception_ptr poison_;  ///< a factory's exception, for good
+
+  std::mutex m_;
+  std::condition_variable wake_;  ///< helpers: a new run or stop
+  std::condition_variable idle_;  ///< caller: every helper checked out
+  std::uint64_t generation_ = 0;  ///< guarded by m_; bumped per run
+  std::size_t count_ = 0;         ///< guarded by m_; the current run's size
+  std::size_t pending_ = 0;       ///< guarded by m_; helpers not checked out
+  bool stop_ = false;             ///< guarded by m_
+
+  alignas(64) std::atomic<std::size_t> cursor_{0};  ///< next unclaimed index
+  alignas(64) std::atomic<std::size_t> failed_{0};  ///< lowest failure seen
+
+  std::vector<std::thread> threads_;  ///< helper lanes 1..workers-1
 };
 
 }  // namespace ftspan

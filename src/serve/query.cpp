@@ -221,7 +221,8 @@ void QueryEngine::answer_batch(std::span<const ServeQuery> queries,
   }
   if (miss_idx_.empty()) return;
 
-  // Phase 2: compute misses on per-lane engines. Results are keyed by
+  // Phase 2: compute misses on per-lane engines; the calling thread is lane
+  // 0 and claims misses alongside the helper lanes. Results are keyed by
   // index, so the answers are identical for every workers setting.
   cur_queries_ = queries;
   cur_answers_ = &answers;

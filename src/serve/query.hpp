@@ -11,9 +11,10 @@
 // are bit-identical to oracle ground truth.
 //
 // Threading contract: all public methods are called from ONE thread (the
-// daemon's event loop). Worker threads only ever run inside answer_batch's
-// pipeline fan-out, on their own lane's scratch; the cache is touched by
-// the calling thread exclusively.
+// daemon's event loop). Helper lane threads only ever run inside
+// answer_batch's pipeline fan-out, where the calling thread is lane 0, each
+// on its own lane's scratch; the cache is touched by the calling thread
+// exclusively.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +39,7 @@ namespace ftspan::serve {
 
 /// One parsed query. Fault lists must be canonical (sorted, deduplicated,
 /// edge endpoints lo <= hi) before hashing/answering — canonicalize() does
-/// it. Also the payload type of the daemon's request rings, so it must stay
-/// cheaply movable.
+/// it.
 struct ServeQuery {
   Vertex s = 0;
   Vertex t = 0;

@@ -169,9 +169,10 @@ FtCheckResult BasicStretchOracle<G>::run_indexed(
   out.fault_sets_checked = count;
   if (count == 0) return out;
 
-  // Fault-set indices travel to per-worker scratch in bursts — one ring
-  // hand-off per burst instead of one shared-counter bounce per fault set.
-  // Witnesses land in index-keyed slots, so scheduling stays invisible.
+  // Lanes claim fault-set indices in bursts from the pool's shared cursor —
+  // one claim per burst, not per fault set — and evaluate them on their own
+  // scratch. Witnesses land in index-keyed slots, so scheduling stays
+  // invisible.
   std::vector<Witness> witnesses(count);
   const SpEnginePolicy engine = options.engine;
   BurstPool pool(resolve_threads(options.threads, count),

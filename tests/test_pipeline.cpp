@@ -1,26 +1,23 @@
-// The dataplane pipeline: SpscRing (bounded lock-free SPSC queue) and
-// BurstPool (the burst-batched index fan-out).
+// BurstPool, the one index fan-out: lanes claim bursts from a shared cursor.
 //
 // This translation unit overrides the global allocation functions with
-// counting wrappers so the steady-state ring tests can assert an exact
-// allocation count of zero.
+// counting wrappers so the single-lane test can assert an exact allocation
+// count of zero.
 #include "pipeline/burst_pipeline.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "ftspanner/parallel.hpp"
-#include "serve/query.hpp"
-#include "util/spsc_ring.hpp"
 
 namespace {
 std::atomic<std::size_t> g_allocations{0};
@@ -41,181 +38,7 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace ftspan {
 namespace {
 
-// --- SpscRing ------------------------------------------------------------
-
-TEST(SpscRing, CapacityRoundsUpToAPowerOfTwo) {
-  EXPECT_EQ(SpscRing<int>(0).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(1).capacity(), 1u);
-  EXPECT_EQ(SpscRing<int>(3).capacity(), 4u);
-  EXPECT_EQ(SpscRing<int>(64).capacity(), 64u);
-  EXPECT_EQ(SpscRing<int>(65).capacity(), 128u);
-}
-
-TEST(SpscRing, FullAndEmptyAreReportedExactly) {
-  SpscRing<int> ring(4);
-  int out = 0;
-  EXPECT_TRUE(ring.empty());
-  EXPECT_FALSE(ring.try_pop(out));
-  for (int i = 0; i < 4; ++i) EXPECT_TRUE(ring.try_push(i));
-  EXPECT_FALSE(ring.try_push(99));  // full
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);  // FIFO
-  }
-  EXPECT_FALSE(ring.try_pop(out));
-  EXPECT_TRUE(ring.empty());
-}
-
-// Push/pop far beyond the capacity: the 64-bit positions mask down into the
-// slot array, so order must survive arbitrarily many wraps.
-TEST(SpscRing, WraparoundPreservesFifoOrder) {
-  SpscRing<int> ring(4);
-  int next_push = 0, next_pop = 0, out = 0;
-  for (int round = 0; round < 1000; ++round) {
-    // Vary the fill level so head/tail cross the slot boundary at every
-    // possible phase.
-    const int batch = 1 + round % 4;
-    for (int i = 0; i < batch; ++i) ASSERT_TRUE(ring.try_push(next_push++));
-    for (int i = 0; i < batch; ++i) {
-      ASSERT_TRUE(ring.try_pop(out));
-      ASSERT_EQ(out, next_pop++);
-    }
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, SteadyStateOperationsAreAllocationFree) {
-  SpscRing<int> ring(8);
-  const std::size_t before = g_allocations.load(std::memory_order_relaxed);
-  int out = 0;
-  for (int i = 0; i < 10000; ++i) {
-    ASSERT_TRUE(ring.try_push(i));
-    ASSERT_TRUE(ring.try_pop(out));
-  }
-  const std::size_t after = g_allocations.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u);
-}
-
-// The actual SPSC contract: one producer thread, one consumer thread, no
-// locks. The consumer must observe every value exactly once, in order.
-TEST(SpscRing, ConcurrentProducerConsumerDeliversInOrder) {
-  constexpr std::uint64_t kCount = 200000;
-  SpscRing<std::uint64_t> ring(16);
-  std::atomic<bool> failed{false};
-
-  std::thread consumer([&] {
-    std::uint64_t expect = 0, v = 0;
-    while (expect < kCount) {
-      if (!ring.try_pop(v)) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (v != expect) {
-        failed.store(true);
-        return;
-      }
-      ++expect;
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i)
-    while (!ring.try_push(i)) std::this_thread::yield();
-  consumer.join();
-  EXPECT_FALSE(failed.load());
-}
-
-// The degenerate geometry: one slot. Full after one push, empty after one
-// pop — the boundary where an off-by-one in the masked positions would make
-// full and empty indistinguishable.
-TEST(SpscRing, CapacityOneAlternatesFullAndEmpty) {
-  SpscRing<int> ring(1);
-  ASSERT_EQ(ring.capacity(), 1u);
-  int out = 0;
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(ring.empty());
-    ASSERT_TRUE(ring.try_push(i));
-    EXPECT_FALSE(ring.empty());
-    EXPECT_FALSE(ring.try_push(-1));  // full at depth 1
-    ASSERT_TRUE(ring.try_pop(out));
-    EXPECT_EQ(out, i);
-    EXPECT_FALSE(ring.try_pop(out));
-  }
-}
-
-// empty() is consumer-side state plus one acquire load of the producer's
-// tail — safe to call while the producer is pushing. Run it hot against a
-// live producer so TSan can vet the claim; the only invariant it must hold
-// is "false implies try_pop succeeds" (from the single consumer's view,
-// non-empty cannot become empty without a pop).
-TEST(SpscRing, EmptyIsSafeAgainstAConcurrentProducer) {
-  constexpr std::uint64_t kCount = 100000;
-  SpscRing<std::uint64_t> ring(8);
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i)
-      while (!ring.try_push(i)) std::this_thread::yield();
-  });
-
-  std::uint64_t expect = 0, v = 0;
-  while (expect < kCount) {
-    if (ring.empty()) {
-      std::this_thread::yield();
-      continue;
-    }
-    ASSERT_TRUE(ring.try_pop(v));  // non-empty must imply a poppable item
-    ASSERT_EQ(v, expect);
-    ++expect;
-  }
-  producer.join();
-  EXPECT_TRUE(ring.empty());
-}
-
-// The serve daemon's request/response payloads ride rings between the event
-// loop and the worker lanes; pin that the non-trivial types (heap-owning
-// vectors) move through a ring intact under the real two-thread contract.
-TEST(SpscRing, CarriesServeQueryPayloadsAcrossThreads) {
-  constexpr std::uint64_t kCount = 20000;
-  SpscRing<serve::ServeQuery> ring(4);
-  std::atomic<bool> failed{false};
-
-  std::thread consumer([&] {
-    serve::ServeQuery q;
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.try_pop(q)) std::this_thread::yield();
-      const auto v = static_cast<Vertex>(i % 97);
-      if (q.s != v || q.t != v + 1 || q.avoid_vertices.size() != i % 3 ||
-          q.avoid_edges.size() != i % 2) {
-        failed.store(true);
-        return;
-      }
-    }
-  });
-
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    serve::ServeQuery q;
-    q.s = static_cast<Vertex>(i % 97);
-    q.t = q.s + 1;
-    q.avoid_vertices.assign(i % 3, q.s);
-    q.avoid_edges.assign(i % 2, {q.s, q.t});
-    while (!ring.try_push(q)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_FALSE(failed.load());
-}
-
 // --- BurstPool -----------------------------------------------------------
-
-// The burst width is min(kDefaultBurst, ceil(count / workers)): full bursts
-// once every lane can get one, narrower ones before that.
-TEST(BurstPool, BurstWidthSplitsShortRunsAcrossLanes) {
-  EXPECT_EQ(burst_width(0, 4), 0u);
-  EXPECT_EQ(burst_width(1, 4), 1u);
-  EXPECT_EQ(burst_width(12, 4), 3u);
-  EXPECT_EQ(burst_width(30, 2), 15u);
-  EXPECT_EQ(burst_width(100, 4), kDefaultBurst);
-  EXPECT_EQ(burst_width(384, 4), kDefaultBurst);
-  EXPECT_EQ(burst_width(17, 1), kDefaultBurst);
-}
 
 // Every index in [0, count) must run exactly once, whatever the worker
 // count — including runs shorter than one burst per lane.
@@ -239,50 +62,87 @@ TEST(BurstPool, CoversEveryIndexExactlyOnce) {
   }
 }
 
-// Burst b goes to lane b % workers, with the computed width, stable across
-// runs of the same pool. Record who ran each index and check the
-// round-robin layout directly.
-TEST(BurstPool, DistributionIsDeterministicAtTheComputedWidth) {
-  constexpr std::size_t kWorkers = 3;
-  std::vector<std::atomic<std::size_t>> ran_by(96);
-  BurstPool pool(kWorkers, [&ran_by](std::size_t w) -> BurstTask {
-    return [&ran_by, w](std::size_t i) {
-      ran_by[i].store(w, std::memory_order_relaxed);
-    };
-  });
-  // 96 indices: full 16-wide bursts; 12: 4-wide; 5: 2-wide, the last short.
-  for (const std::size_t count : {96u, 12u, 5u, 96u}) {
-    for (auto& r : ran_by) r.store(SIZE_MAX);
-    pool.run(count);
-    const std::size_t width = burst_width(count, kWorkers);
-    for (std::size_t i = 0; i < count; ++i)
-      EXPECT_EQ(ran_by[i].load(), (i / width) % kWorkers)
-          << "count=" << count << " i=" << i;
+// Waits, for at most 10 s, until `pred` holds. False on timeout, so a test
+// that depends on other lanes making progress fails instead of hanging.
+template <class Pred>
+bool wait_until(const Pred& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
   }
+  return true;
 }
 
-// A run shorter than workers * kDefaultBurst still reaches every lane: 12
-// indices over 4 lanes are 4 bursts of 3, one per lane — not one 16-wide
-// burst on lane 0 (the starvation a fixed width caused on a 12-set
-// validation run).
+// A run shorter than workers * kDefaultBurst still reaches every lane:
+// claims narrow to ceil(remaining / (2 * lanes)), so 12 indices over 4
+// lanes cannot all land in one claim. Every task waits until all four lanes
+// have started one; a lane that took the whole run would wait alone.
 TEST(BurstPool, ShortRunReachesEveryLane) {
   constexpr std::size_t kWorkers = 4;
   std::vector<std::atomic<int>> lane_hits(kWorkers);
-  BurstPool pool(kWorkers, [&lane_hits](std::size_t w) -> BurstTask {
-    return [&lane_hits, w](std::size_t) {
-      lane_hits[w].fetch_add(1, std::memory_order_relaxed);
+  std::atomic<std::size_t> lanes_seen{0};
+  std::atomic<bool> stranded{false};
+  BurstPool pool(kWorkers, [&](std::size_t w) -> BurstTask {
+    return [&, w](std::size_t) {
+      if (lane_hits[w].fetch_add(1) == 0) lanes_seen.fetch_add(1);
+      if (!wait_until([&] { return lanes_seen.load() == kWorkers; }))
+        stranded.store(true);
     };
   });
   pool.run(12);
+  EXPECT_FALSE(stranded.load());
   for (std::size_t w = 0; w < kWorkers; ++w)
-    EXPECT_EQ(lane_hits[w].load(), 3) << "lane " << w;
+    EXPECT_GT(lane_hits[w].load(), 0) << "lane " << w;
 }
 
-// A mid-stream throw must reach the caller even though the coordinator
-// keeps pushing bursts into the thrower's ring (the worker drains and
-// discards them). 10000 indices over 2 lanes are 625 bursts, ~313 per lane
-// — far more than the 64-slot ring holds, so a stalled consumer would
-// deadlock the feed.
+// A lane stuck on a costly index holds only the burst it claimed: while
+// index 0 blocks, the other lanes must finish every index outside one
+// kDefaultBurst-wide claim. Any fixed dealing of bursts to lanes would
+// strand the blocked lane's later bursts and fail this.
+TEST(BurstPool, StalledLaneDoesNotStrandTheRun) {
+  constexpr std::size_t kCount = 64;
+  for (const std::size_t workers : {2u, 4u}) {
+    std::atomic<std::size_t> finished{0};
+    std::atomic<bool> stranded{false};
+    BurstPool pool(workers, [&](std::size_t) -> BurstTask {
+      return [&](std::size_t i) {
+        if (i == 0 && !wait_until([&] {
+              return finished.load() >= kCount - kDefaultBurst;
+            }))
+          stranded.store(true);
+        finished.fetch_add(1);
+      };
+    });
+    pool.run(kCount);
+    EXPECT_FALSE(stranded.load()) << "workers=" << workers;
+    EXPECT_EQ(finished.load(), kCount) << "workers=" << workers;
+  }
+}
+
+// Several indices throw; run() rethrows the lowest failing index's
+// exception at every worker count, whichever lane ran it.
+TEST(BurstPool, RethrowsTheLowestFailingIndex) {
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    BurstPool pool(workers, [](std::size_t) -> BurstTask {
+      return [](std::size_t i) {
+        if (i == 20 || i == 70) throw std::runtime_error(std::to_string(i));
+      };
+    });
+    for (int round = 0; round < 4; ++round) {
+      try {
+        pool.run(100);
+        ADD_FAILURE() << "no exception, workers=" << workers;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "20") << "workers=" << workers;
+      }
+    }
+  }
+}
+
+// A mid-stream throw must reach the caller while the other lane keeps
+// claiming: 10000 indices over 2 lanes, the failure early in the run.
 TEST(BurstPool, TaskExceptionPropagatesWithoutDeadlock) {
   BurstPool pool(2, [](std::size_t) -> BurstTask {
     return [](std::size_t i) {
@@ -294,7 +154,7 @@ TEST(BurstPool, TaskExceptionPropagatesWithoutDeadlock) {
 
 // The consumer contract the conversion engine relies on: union_iterations
 // over the pool produces the same marks as the sequential loop, for every
-// worker count (and so every computed burst width).
+// worker count (and so whichever lane claims which iteration).
 TEST(BurstPool, UnionIterationsIsGeometryInvariant) {
   constexpr std::size_t kEdges = 512;
   const IterationBodyFactory factory = [](std::size_t) -> IterationBody {
@@ -313,7 +173,8 @@ TEST(BurstPool, UnionIterationsIsGeometryInvariant) {
 }
 
 // A single-worker pool runs inline: after the constructor has built the
-// task, run() is task calls only — no threads, no rings, no allocation.
+// task, run() is task calls on the caller's thread — no threads, no
+// allocation.
 TEST(BurstPool, SingleWorkerRunIsInlineAndAllocationFree) {
   std::size_t sum = 0;
   std::thread::id ran_on;
@@ -380,16 +241,18 @@ TEST(BurstPool, RecoversAfterATaskException) {
   }
 }
 
-// A factory that throws poisons its lane permanently: every run rethrows
-// (the lane never got a task), but runs still terminate — the lane drains
-// its feed without executing it. The inline pool keeps the same contract.
+// A factory that throws poisons the pool permanently: every run rethrows
+// (the lane never got a task) before running any index. The one-lane pool
+// keeps the same contract.
 TEST(BurstPool, FactoryFailurePoisonsEveryRun) {
-  BurstPool pool(2, [](std::size_t w) -> BurstTask {
+  std::atomic<std::size_t> ran{0};
+  BurstPool pool(2, [&ran](std::size_t w) -> BurstTask {
     if (w == 1) throw std::runtime_error("factory boom");
-    return [](std::size_t) {};
+    return [&ran](std::size_t) { ran.fetch_add(1); };
   });
   EXPECT_THROW(pool.run(50), std::runtime_error);
   EXPECT_THROW(pool.run(50), std::runtime_error);
+  EXPECT_EQ(ran.load(), 0u);
 
   BurstPool inline_pool(1, [](std::size_t) -> BurstTask {
     throw std::runtime_error("factory boom");
@@ -400,15 +263,15 @@ TEST(BurstPool, FactoryFailurePoisonsEveryRun) {
 
 // --- BurstPool teardown --------------------------------------------------
 //
-// The pool's destructor runs while worker threads may still be between
-// their last completion hand-off and the idle wait; these tests hammer that
+// The pool's destructor runs while helper threads may still be between
+// their check-out and the idle wait; these tests hammer that
 // window from every shape the serve layer can produce (see the teardown
 // contract in burst_pipeline.hpp). They are primarily TSan/ASan fodder: the
 // assertions are thin on purpose — the property under test is "no data
 // race, no deadlock, no touch-after-free during teardown".
 
-// Destroy the pool the instant run() returns, while workers are still
-// draining out of their final notify. Slow tasks widen the window; several
+// Destroy the pool the instant run() returns, while helpers are still
+// winding down from their check-out. Slow tasks widen the window; several
 // rounds make the interleaving vary.
 TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
   for (int round = 0; round < 8; ++round) {
@@ -426,9 +289,10 @@ TEST(BurstPool, DestructionImmediatelyAfterRunIsClean) {
   }
 }
 
-// A run that throws still drains every burst before rethrowing, so tearing
-// the pool down right out of the catch block must be as safe as after a
-// clean run — no worker may still hold a burst whose task state is gone.
+// A run that throws still waits for every helper to check out before
+// rethrowing, so tearing the pool down right out of the catch block must be
+// as safe as after a clean run — no helper may still hold a claim whose
+// task state is gone.
 TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
   for (int round = 0; round < 8; ++round) {
     bool threw = false;
@@ -450,8 +314,8 @@ TEST(BurstPool, DestructionAfterAThrowingRunIsClean) {
 }
 
 // Construct-then-destroy with no run in between: the stop flag may be set
-// before a worker has even reached its first idle wait (or run its
-// factory), and the join must still succeed.
+// before a helper has reached its first idle wait, and the join must still
+// succeed.
 TEST(BurstPool, DestructionWithoutAnyRunIsClean) {
   for (int round = 0; round < 16; ++round) {
     BurstPool pool(4, [](std::size_t) -> BurstTask {
@@ -463,8 +327,8 @@ TEST(BurstPool, DestructionWithoutAnyRunIsClean) {
 // The epoch-teardown shape: the pool is built and run on one thread, but
 // the last owner drops it from another (a retired engine's final reference
 // is released by whichever thread held it — for the serve daemon, possibly
-// the reload worker). The destructor must not assume the coordinator's
-// thread identity.
+// the reload worker). The destructor must not assume the caller's thread
+// identity.
 TEST(BurstPool, DestructionOnADifferentThreadIsClean) {
   std::atomic<std::size_t> done{0};
   auto pool = std::make_unique<BurstPool>(3, [&done](std::size_t) -> BurstTask {

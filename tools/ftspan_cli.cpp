@@ -20,8 +20,10 @@
 // `--threads T` fans the conversion's sampling iterations across T worker
 // threads (0 = all hardware threads); the output edge set is bit-identical
 // to --threads 1 for the same seed (see src/ftspanner/parallel.hpp).
+#include <cerrno>
 #include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -63,6 +65,32 @@ struct UsageError : std::invalid_argument {
   using std::invalid_argument::invalid_argument;
 };
 
+/// A numeric value: the whole text must parse as a finite number, so `abc`
+/// or `3x` is a usage error rather than 0 or 3. `what` names it in the error.
+double parse_number(const std::string& text, const std::string& what) {
+  char* end = nullptr;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || !std::isfinite(v))
+    throw UsageError(what + " expects a number, got '" + text + "'");
+  return v;
+}
+
+/// A count (vertices, threads, seeds, ports, ...): decimal digits only, at
+/// most `max`, so `-2`, `1.7` or `20x` is a usage error, never a guess.
+std::uint64_t parse_count(const std::string& text, const std::string& what,
+                          std::uint64_t max = UINT64_MAX) {
+  errno = 0;
+  const std::uint64_t v = std::strtoull(text.c_str(), nullptr, 10);
+  if (text.empty() || text.find_first_not_of("0123456789") !=
+                          std::string::npos ||
+      errno == ERANGE || v > max)
+    throw UsageError(what + " expects a non-negative integer" +
+                     (max == UINT64_MAX ? ""
+                                        : " up to " + std::to_string(max)) +
+                     ", got '" + text + "'");
+  return v;
+}
+
 struct Args {
   std::vector<std::string> positional;
   std::map<std::string, std::string> options;  // --key value / -k value
@@ -71,20 +99,27 @@ struct Args {
     const auto it = options.find(name);
     return it == options.end() ? dflt : it->second;
   }
-  /// A numeric flag: the whole value must parse as a finite number, so
-  /// `--threads abc` or `-k 3x` is a usage error rather than 0 or 3.
+  /// A numeric flag (-k, -c, --scale, --deadline-ms).
   double num(const std::string& name, double dflt) const {
     const auto it = options.find(name);
-    if (it == options.end()) return dflt;
-    const char* text = it->second.c_str();
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v))
-      throw UsageError("--" + name + " expects a number, got '" +
-                       it->second + "'");
-    return v;
+    return it == options.end() ? dflt : parse_number(it->second, "--" + name);
+  }
+  /// A count flag (--threads, -r, --seed, --trials, --port, ...).
+  std::uint64_t count(const std::string& name, std::uint64_t dflt,
+                      std::uint64_t max = UINT64_MAX) const {
+    const auto it = options.find(name);
+    return it == options.end() ? dflt
+                               : parse_count(it->second, "--" + name, max);
   }
 };
+
+/// True when `text` is a whole number, so a dash-leading token after a flag
+/// is that flag's value (`--threads -2`), not a new flag.
+bool is_number(const char* text) {
+  char* end = nullptr;
+  std::strtod(text, &end);
+  return end != text && *end == '\0';
+}
 
 Args parse(int argc, char** argv, int from) {
   Args a;
@@ -92,7 +127,7 @@ Args parse(int argc, char** argv, int from) {
     std::string s = argv[i];
     if (s.rfind("-", 0) == 0) {
       while (!s.empty() && s[0] == '-') s.erase(s.begin());
-      if (i + 1 < argc && argv[i + 1][0] != '-')
+      if (i + 1 < argc && (argv[i + 1][0] != '-' || is_number(argv[i + 1])))
         a.options[s] = argv[++i];
       else
         a.options[s] = "1";
@@ -259,20 +294,23 @@ void emit(const Graph& g, const std::string& path, bool binary = false) {
 int cmd_gen(const Args& a) {
   if (a.positional.empty()) return usage();
   const std::string kind = a.positional[0];
-  const std::uint64_t seed =
-      static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::uint64_t seed = a.count("seed", 1);
+  // Positional i as a count / a number; a malformed one is a usage error.
+  const auto count = [&](std::size_t i) {
+    return parse_count(a.positional[i], "gen " + kind);
+  };
+  const auto number = [&](std::size_t i) {
+    return parse_number(a.positional[i], "gen " + kind);
+  };
   Graph g;
   if (kind == "gnp" && a.positional.size() >= 3) {
-    g = gnp(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-            std::strtod(a.positional[2].c_str(), nullptr), seed);
+    g = gnp(count(1), number(2), seed);
   } else if (kind == "grid" && a.positional.size() >= 3) {
-    g = grid(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-             std::strtoul(a.positional[2].c_str(), nullptr, 10));
+    g = grid(count(1), count(2));
   } else if (kind == "geometric" && a.positional.size() >= 3) {
-    g = random_geometric(std::strtoul(a.positional[1].c_str(), nullptr, 10),
-                         std::strtod(a.positional[2].c_str(), nullptr), seed);
+    g = random_geometric(count(1), number(2), seed);
   } else if (kind == "complete" && a.positional.size() >= 2) {
-    g = complete(std::strtoul(a.positional[1].c_str(), nullptr, 10));
+    g = complete(count(1));
   } else {
     return usage();
   }
@@ -286,7 +324,7 @@ int cmd_spanner(const Args& a) {
   if (in.empty()) return usage();
   const Graph g = load_graph_any(in);
   const std::string algo = a.get("algo", "greedy");
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::uint64_t seed = a.count("seed", 1);
 
   std::vector<EdgeId> edges;
   if (algo == "greedy") {
@@ -315,10 +353,10 @@ int run_ft_conversion(const Args& a, bool edge_faults) {
   if (in.empty()) return usage();
   const Graph g = load_graph_any(in);
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
+  const std::size_t r = a.count("r", 1);
   const double c = a.num("c", 1.0);
-  const std::size_t threads = static_cast<std::size_t>(a.num("threads", 1));
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::size_t threads = a.count("threads", 1);
+  const std::uint64_t seed = a.count("seed", 1);
 
   // One branch per fault model: run the conversion and its matching sampled
   // checker, landing in a model-agnostic summary.
@@ -378,9 +416,9 @@ int cmd_ft2(const Args& a) {
     return 1;
   }
   const Digraph g = read_digraph(is);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
+  const std::size_t r = a.count("r", 1);
   const auto res =
-      approx_ft_2spanner(g, r, static_cast<std::uint64_t>(a.num("seed", 1)));
+      approx_ft_2spanner(g, r, a.count("seed", 1));
   std::printf("%zu-fault-tolerant 2-spanner: cost %.3f (LP lower bound %.3f), "
               "valid: %s\n",
               r, res.cost, res.lp_value, res.valid ? "yes" : "NO");
@@ -405,7 +443,7 @@ int cmd_verify(const Args& a) {
   const Graph g = load_graph_any(in);
   const Graph h = load_graph_any(sp);
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 0));
+  const std::size_t r = a.count("r", 0);
   if (r == 0) {
     const double stretch = max_edge_stretch(g, h);
     std::printf("stretch: %.4f — %s %g-spanner\n", stretch,
@@ -429,19 +467,18 @@ int cmd_check(const Args& a) {
   const Graph g = load_graph_any(in);
   const Graph h = load_graph_any(sp);
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 0));
+  const std::size_t r = a.count("r", 0);
   const bool exact = a.flag("exact") || r == 0;  // r = 0 enumerates only ∅
 
   FtCheckOptions opt;
-  opt.threads = static_cast<std::size_t>(a.num("threads", 1));
+  opt.threads = a.count("threads", 1);
   const StretchOracle oracle(g, h, k);
   Timer timer;
   const FtCheckResult res =
       exact ? oracle.check_exact(r, opt)
-            : oracle.check_sampled(
-                  r, static_cast<std::size_t>(a.num("trials", 60)),
-                  static_cast<std::size_t>(a.num("adversarial", 80)),
-                  static_cast<std::uint64_t>(a.num("seed", 7)), opt);
+            : oracle.check_sampled(r, a.count("trials", 60),
+                                   a.count("adversarial", 80),
+                                   a.count("seed", 7), opt);
   const double ms = timer.millis();
 
   std::printf("%s oracle check: %s (worst stretch %.4f over %zu fault sets, "
@@ -526,7 +563,7 @@ int cmd_corpus(const Args& a) {
   if (dir.empty()) return usage();
   runner::WorkloadParams wp;
   wp.scale = a.num("scale", 0.25);
-  wp.seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  wp.seed = a.count("seed", 1);
   for (const std::string& name : runner::workload_registry().names()) {
     // Skip the families that exist to consume external input (file) or to
     // parameterize the daemon load test (serve) — neither is a generator
@@ -564,9 +601,9 @@ int cmd_serve(const Args& a) {
   const std::string in = a.get("i");
   if (in.empty()) return usage();
   const double k = a.num("k", 3.0);
-  const std::size_t r = static_cast<std::size_t>(a.num("r", 1));
-  const std::size_t threads = static_cast<std::size_t>(a.num("threads", 1));
-  const std::uint64_t seed = static_cast<std::uint64_t>(a.num("seed", 1));
+  const std::size_t r = a.count("r", 1);
+  const std::size_t threads = a.count("threads", 1);
+  const std::uint64_t seed = a.count("seed", 1);
 
   ConversionOptions copt;
   copt.iteration_constant = a.num("c", 1.0);
@@ -574,7 +611,7 @@ int cmd_serve(const Args& a) {
 
   serve::QueryEngine::Options qo;
   qo.workers = threads;
-  qo.cache_capacity = static_cast<std::size_t>(a.num("cache", 1024));
+  qo.cache_capacity = a.count("cache", 1024);
 
   // The reload builder: load + convert + engine-build, identically to the
   // initial boot. An empty path means "the current source again" (the
@@ -594,9 +631,9 @@ int cmd_serve(const Args& a) {
 
   serve::ServeOptions so;
   so.host = a.get("host", "127.0.0.1");
-  so.port = static_cast<std::uint16_t>(a.num("port", 8080));
-  so.max_pipeline = static_cast<std::size_t>(a.num("max-pipeline", 16));
-  so.max_pending = static_cast<std::size_t>(a.num("max-pending", 512));
+  so.port = static_cast<std::uint16_t>(a.count("port", 8080, 65535));
+  so.max_pipeline = a.count("max-pipeline", 16);
+  so.max_pending = a.count("max-pending", 512);
   so.deadline_ms = static_cast<int>(a.num("deadline-ms", 0));
   serve::ServeDaemon daemon(epochs, so);
   daemon.listen();
