@@ -64,7 +64,7 @@ void BurstPool::helper(std::size_t w, const BurstTaskFactory& factory) {
 }
 
 void BurstPool::claim(Lane& lane, std::size_t count) {
-  const std::size_t span = 2 * lanes_.size();
+  const std::size_t span = kDefaultBurst * lanes_.size();
   std::size_t begin = cursor_.load();
   while (begin < count) {
     const std::size_t width =

@@ -25,9 +25,14 @@
 
 namespace ftspan {
 
-/// Upper bound on indices per claim. Large enough to amortize the cursor
-/// hand-off; claims narrow to ceil(remaining / (2 * lanes)) below that, so
-/// a short run, or the tail of a long one, reaches every lane.
+/// Upper bound on indices per claim, and the divisor of a lane's share in
+/// the claim rule: a claim takes ceil(remaining / (kDefaultBurst * lanes))
+/// indices, capped at kDefaultBurst. So no claim holds more than 1/16 of a
+/// lane's share of what is left; when the costly indices sit together (the
+/// oracle's random sets come before its cheap adversary probes), no lane
+/// commits to a long block of them, every lane ends within about one index
+/// of the others, and a run's time is an average over the lanes rather
+/// than the time of the one lane that holds the largest claim.
 inline constexpr std::size_t kDefaultBurst = 16;
 
 /// Sanity ceiling on worker count, not a tuning knob: far above any

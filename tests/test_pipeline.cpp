@@ -76,7 +76,7 @@ bool wait_until(const Pred& pred) {
 }
 
 // A run shorter than workers * kDefaultBurst still reaches every lane:
-// claims narrow to ceil(remaining / (2 * lanes)), so 12 indices over 4
+// claims narrow to ceil(remaining / (16 * lanes)), so 12 indices over 4
 // lanes cannot all land in one claim. Every task waits until all four lanes
 // have started one; a lane that took the whole run would wait alone.
 TEST(BurstPool, ShortRunReachesEveryLane) {
